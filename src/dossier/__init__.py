@@ -59,7 +59,6 @@ from .routing import (
     Registry,
     builtin_matrix,
     load_overlay,
-    register_collector,
     route,
 )
 
@@ -104,7 +103,6 @@ __all__ = [
     "normalize_phone",
     "normalize_records",
     "rank_candidates",
-    "register_collector",
     "render",
     "report_from_json",
     "resolve_candidates",

@@ -24,7 +24,6 @@ from .aggregate import (
     dedup,
     filter_relevance,
     normalize_records,
-    rank_candidates,
     resolve_candidates,
 )
 from .collect.corpus import CorpusError, bundled_corpus_path, load_corpus
@@ -226,9 +225,8 @@ def run_pipeline(config: PipelineConfig) -> int:
     rejected = 0
     filtered = []
     if candidates:
-        ranked = rank_candidates(candidates, query, registry)
-        best = min(ranked, key=lambda c: (-c.match, -c.visibility, c.cluster_id))
-        rejected = len(ranked) - 1
+        best = best_match(candidates, query, registry)
+        rejected = len(candidates) - 1
         pool = records if config.include_unattributed else list(best.records)
         filtered = filter_relevance(pool, best, registry, config.min_relevance)
 

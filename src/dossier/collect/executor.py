@@ -8,8 +8,9 @@ gets exactly one outcome per collector, sorted by name.
 
 from __future__ import annotations
 
+import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from collections import deque
 from time import perf_counter
 from typing import Callable, Optional, Sequence
 
@@ -35,64 +36,6 @@ def make_fetcher(corpus: Corpus, timeout_ms: int = 5000) -> Fetcher:
     return fetch
 
 
-_CANCELLED_DETAIL = "cancelled before start (fail-fast)"
-
-
-def _run_one(
-    descriptor: CollectorDescriptor,
-    query: QueryInput,
-    fetch: Fetcher,
-    timeout_ms: int,
-    stop: Optional[threading.Event] = None,
-) -> CollectorOutcome:
-    # Fail-fast: the first failing task sets the event before its future
-    # resolves, so any task the pool starts afterwards reliably sees it.
-    if stop is not None and stop.is_set():
-        return CollectorOutcome(
-            collector=descriptor.name,
-            status=OutcomeStatus.ERROR,
-            error_detail=_CANCELLED_DETAIL,
-        )
-    box: dict[str, object] = {}
-
-    def target() -> None:
-        try:
-            box["records"] = tuple(fetch(descriptor, query))
-        except Exception as exc:  # failure is data; nothing may escape
-            box["error"] = exc
-
-    started = perf_counter()
-    worker = threading.Thread(target=target, daemon=True, name=f"collect-{descriptor.name}")
-    worker.start()
-    worker.join(timeout_ms / 1000.0)
-    elapsed_ms = (perf_counter() - started) * 1000.0
-    if worker.is_alive():
-        outcome = CollectorOutcome(
-            collector=descriptor.name,
-            status=OutcomeStatus.TIMEOUT,
-            error_detail=f"no response within {timeout_ms} ms",
-            elapsed_ms=elapsed_ms,
-        )
-    elif box.get("error") is not None:
-        error = box["error"]
-        outcome = CollectorOutcome(
-            collector=descriptor.name,
-            status=OutcomeStatus.ERROR,
-            error_detail=f"{type(error).__name__}: {error}",
-            elapsed_ms=elapsed_ms,
-        )
-    else:
-        outcome = CollectorOutcome(
-            collector=descriptor.name,
-            status=OutcomeStatus.SUCCESS,
-            records=box.get("records", ()),  # type: ignore[arg-type]
-            elapsed_ms=elapsed_ms,
-        )
-    if stop is not None and outcome.status is not OutcomeStatus.SUCCESS:
-        stop.set()
-    return outcome
-
-
 def execute_stack(
     query: QueryInput,
     collectors: Sequence[CollectorDescriptor],
@@ -101,45 +44,61 @@ def execute_stack(
 ) -> list[CollectorOutcome]:
     """Run every collector against *query* and return one outcome per collector.
 
-    Outcomes come back sorted by collector name regardless of completion
-    order.  With ``fail_fast`` enabled, collectors that have not started when
-    the first failure lands are cancelled and reported as errors; by default
-    everything runs to completion.
+    Each collector runs on its own thread, at most ``max_parallel`` at once,
+    started in name order.  Outcomes come back sorted by collector name
+    regardless of completion order.  A collector still running
+    ``per_collector_timeout_ms`` after it started is reported as a timeout
+    and abandoned: its fetch keeps running on its daemon thread, which a
+    fetch with a socket timeout of its own (like the HTTP adapter) ends, but
+    its slot is freed at once for the next collector and its late result is
+    discarded.
     """
     if not collectors:
         raise ValueError("execute_stack needs at least one collector")
     config = config or ExecutionConfig()
-    ordered = sorted(collectors, key=lambda d: d.name)
+    timeout_ms = config.per_collector_timeout_ms
+    timeout_s = timeout_ms / 1000.0
+    waiting = deque(enumerate(sorted(collectors, key=lambda d: d.name)))
+    running: dict[int, tuple[str, float]] = {}  # index -> (name, start time)
+    finished: queue.SimpleQueue = queue.SimpleQueue()
+    outcomes = []
 
-    stop = threading.Event() if config.fail_fast else None
-    with ThreadPoolExecutor(
-        max_workers=config.max_parallel, thread_name_prefix="stack"
-    ) as pool:
-        futures = {
-            pool.submit(
-                _run_one, descriptor, query, fetch, config.per_collector_timeout_ms, stop
-            ): descriptor
-            for descriptor in ordered
-        }
-        if config.fail_fast:
-            for future in as_completed(list(futures)):
-                if future.cancelled():
-                    continue
-                if future.result().status is not OutcomeStatus.SUCCESS:
-                    for other in futures:
-                        other.cancel()  # skip work the pool has not dequeued yet
-                    break
-        outcomes = []
-        for future, descriptor in futures.items():
-            if future.cancelled():
-                outcomes.append(
-                    CollectorOutcome(
-                        collector=descriptor.name,
-                        status=OutcomeStatus.ERROR,
-                        error_detail=_CANCELLED_DETAIL,
+    def target(index: int, descriptor: CollectorDescriptor, started: float) -> None:
+        status, records, detail = OutcomeStatus.SUCCESS, (), None
+        try:
+            records = tuple(fetch(descriptor, query))
+        except Exception as exc:  # failure is data; nothing may escape
+            status, detail = OutcomeStatus.ERROR, f"{type(exc).__name__}: {exc}"
+        elapsed_ms = (perf_counter() - started) * 1000.0
+        outcome = CollectorOutcome(descriptor.name, status, records, detail, elapsed_ms)
+        finished.put((index, outcome))
+
+    while waiting or running:
+        while waiting and len(running) < config.max_parallel:
+            index, descriptor = waiting.popleft()
+            started = perf_counter()
+            running[index] = (descriptor.name, started)
+            threading.Thread(
+                target=target,
+                args=(index, descriptor, started),
+                daemon=True,
+                name=f"collect-{descriptor.name}",
+            ).start()
+        deadline = min(started for _, started in running.values()) + timeout_s
+        try:
+            index, outcome = finished.get(timeout=max(0.0, deadline - perf_counter()))
+        except queue.Empty:
+            now = perf_counter()
+            for index, (name, started) in list(running.items()):
+                if now - started >= timeout_s:
+                    del running[index]
+                    detail = f"no response within {timeout_ms} ms"
+                    elapsed_ms = (now - started) * 1000.0
+                    outcomes.append(
+                        CollectorOutcome(name, OutcomeStatus.TIMEOUT, (), detail, elapsed_ms)
                     )
-                )
-            else:
-                outcomes.append(future.result())
+            continue
+        if running.pop(index, None) is not None:  # else: an abandoned collector's late result
+            outcomes.append(outcome)
     outcomes.sort(key=lambda outcome: outcome.collector)
     return outcomes

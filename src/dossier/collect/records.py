@@ -57,7 +57,6 @@ class ExecutionConfig:
 
     per_collector_timeout_ms: int = 5000
     max_parallel: int = 8
-    fail_fast: bool = False
 
     def __post_init__(self) -> None:
         if self.per_collector_timeout_ms <= 0:

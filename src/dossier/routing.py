@@ -202,11 +202,6 @@ def route(query: QueryInput, registry: Registry) -> list[CollectorDescriptor]:
     return [d for d in registry.values() if pair in d.accepts]
 
 
-def register_collector(registry: Registry, descriptor: CollectorDescriptor) -> Registry:
-    """Functional form of :meth:`Registry.add`."""
-    return registry.add(descriptor)
-
-
 def _descriptor_from_entry(entry: object, path: Path) -> CollectorDescriptor:
     if not isinstance(entry, dict):
         raise OverlayError(f"{path}: each add entry must be an object")

@@ -1,11 +1,16 @@
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+import dossier
 from dossier.collect.adapters import (
+    MAX_BODY_BYTES,
     BadStatusError,
     MissingCredentialError,
     NetworkError,
@@ -22,6 +27,8 @@ QUERY = QueryInput(InputKind.EMAIL, "Probe@X.io", "probe@x.io")
 
 
 class StubHandler(BaseHTTPRequestHandler):
+    redirect_hits: list = []
+
     def log_message(self, *args):
         pass  # keep test output clean
 
@@ -52,6 +59,19 @@ class StubHandler(BaseHTTPRequestHandler):
             self._reply(None, raw=b"this is not json")
         elif self.path.startswith("/auth"):
             self._reply({"granted": self.headers.get("Authorization", "")})
+        elif self.path.startswith("/redirected"):
+            self.redirect_hits.append(self.headers.get("Authorization", ""))
+            self._reply({"granted": "followed"})
+        elif self.path.startswith("/redirect"):
+            self.send_response(302)
+            self.send_header("Location", "/redirected")
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+        elif self.path.startswith("/big"):
+            # a JSON document of exactly the requested number of bytes
+            size = int(self.path.split("=", 1)[1])
+            padding = "a" * (size - len(json.dumps({"name": ""})))
+            self._reply({"name": padding})
         else:
             self._reply({}, status=404)
 
@@ -66,6 +86,7 @@ def stub_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 @pytest.fixture()
@@ -166,6 +187,12 @@ class TestFetchHttp:
             fetch_http("svc", cfg, QUERY, timeout_ms=2000)
         assert str(exc_info.value) == f"GET {base}/x failed: ConnectionError"
 
+    @pytest.mark.parametrize("base", ["file:///etc", "ftp://127.0.0.1", "127.0.0.1"])
+    def test_non_http_url_is_a_network_error(self, base):
+        cfg = config(base, query_template="/hosts")
+        with pytest.raises(NetworkError):
+            fetch_http("svc", cfg, QUERY, timeout_ms=2000)
+
     def test_missing_credential_blocks_request(self, closed_port, monkeypatch):
         monkeypatch.delenv("SVC_TOKEN", raising=False)
         # pointing at a closed port proves no request is attempted: the
@@ -189,6 +216,32 @@ class TestFetchHttp:
         (record,) = fetch_http("svc", cfg, QUERY)
         assert record.value == "Bearer sekrit"
 
+    def test_redirect_is_refused_and_never_followed(self, stub_server, monkeypatch):
+        monkeypatch.setenv("SVC_TOKEN", "sekrit")
+        cfg = config(
+            stub_server,
+            query_template="/redirect",
+            response_mapping={"granted": "breach"},
+            credential_env="SVC_TOKEN",
+        )
+        StubHandler.redirect_hits.clear()
+        with pytest.raises(BadStatusError) as exc_info:
+            fetch_http("svc", cfg, QUERY)
+        assert exc_info.value.status_code == 302
+        assert StubHandler.redirect_hits == []
+
+    def test_body_size_is_capped(self, stub_server):
+        cfg = config(
+            stub_server,
+            query_template=f"/big?size={MAX_BODY_BYTES}",
+            response_mapping={"name": "full_name"},
+        )
+        (record,) = fetch_http("svc", cfg, QUERY)
+        assert len(record.value) == MAX_BODY_BYTES - len('{"name": ""}')
+        cfg = config(stub_server, query_template=f"/big?size={MAX_BODY_BYTES + 1}")
+        with pytest.raises(ResponseMappingError, match="exceeds"):
+            fetch_http("svc", cfg, QUERY)
+
     def test_post_method(self, stub_server):
         cfg = config(
             stub_server,
@@ -211,3 +264,17 @@ def test_executor_absorbs_http_failures(closed_port):
     (outcome,) = execute_stack(QUERY, [dead], fetch)
     assert outcome.status is OutcomeStatus.ERROR
     assert outcome.error_detail.startswith("NetworkError:")
+
+
+def test_cli_import_pulls_in_no_http_library():
+    src = os.path.dirname(os.path.dirname(dossier.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys, dossier.cli; "
+        "print(sorted({'requests', 'urllib3'} & sys.modules.keys()))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

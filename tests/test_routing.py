@@ -14,7 +14,6 @@ from dossier.routing import (
     accepts,
     builtin_matrix,
     load_overlay,
-    register_collector,
     route,
 )
 
@@ -121,7 +120,7 @@ class TestRegistry:
 
     def test_add_is_persistent_not_mutating(self, registry):
         extra = CollectorDescriptor(name="extra", accepts=accepts("keyword"))
-        grown = register_collector(registry, extra)
+        grown = registry.add(extra)
         assert "extra" in grown and "extra" not in registry
         with pytest.raises(DuplicateCollectorError):
             grown.add(extra)

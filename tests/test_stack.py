@@ -1,3 +1,4 @@
+import threading
 import time
 
 import pytest
@@ -140,28 +141,55 @@ class TestExecuteStack:
         (outcome,) = execute_stack(QUERY, [descriptor("c")], fetch)
         assert outcome.elapsed_ms >= 40
 
-    def test_fail_fast_cancels_pending_collectors(self):
+    def test_parallelism_never_exceeds_the_bound(self):
+        lock = threading.Lock()
+        live = peak = 0
+
         def fetch(d, q):
-            if d.name == "a_fails":
-                raise RuntimeError("dead")
-            time.sleep(0.2)
+            nonlocal live, peak
+            with lock:
+                live += 1
+                peak = max(peak, live)
+            time.sleep(0.05)
+            with lock:
+                live -= 1
             return [record(d.name)]
 
-        collectors = [descriptor("a_fails"), descriptor("b_later"), descriptor("c_later")]
         outcomes = execute_stack(
             QUERY,
-            collectors,
+            [descriptor(f"c{i}") for i in range(6)],
             fetch,
-            ExecutionConfig(max_parallel=1, fail_fast=True),
+            ExecutionConfig(max_parallel=2),
         )
-        by_name = {o.collector: o for o in outcomes}
-        assert by_name["a_fails"].status is OutcomeStatus.ERROR
-        assert by_name["a_fails"].error_detail == "RuntimeError: dead"
-        for name in ("b_later", "c_later"):
-            assert by_name[name].status is OutcomeStatus.ERROR
-            assert by_name[name].error_detail == "cancelled before start (fail-fast)"
+        assert all(o.status is OutcomeStatus.SUCCESS for o in outcomes)
+        assert peak == 2
 
-    def test_without_fail_fast_everything_runs(self):
+    def test_abandoned_collectors_leave_no_threads_behind(self):
+        release = threading.Event()
+
+        def fetch(d, q):
+            release.wait(5)
+            return []
+
+        before = threading.active_count()
+        try:
+            for _ in range(3):
+                outcomes = execute_stack(
+                    QUERY,
+                    [descriptor(f"hung-{i}") for i in range(3)],
+                    fetch,
+                    ExecutionConfig(per_collector_timeout_ms=50),
+                )
+                assert all(o.status is OutcomeStatus.TIMEOUT for o in outcomes)
+        finally:
+            release.set()
+        deadline = time.monotonic() + 1.0
+        while threading.active_count() > before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        # <=, not ==: sleepers abandoned by earlier tests may end meanwhile
+        assert threading.active_count() <= before
+
+    def test_a_failure_does_not_stop_later_collectors(self):
         def fetch(d, q):
             if d.name == "a_fails":
                 raise RuntimeError("dead")
