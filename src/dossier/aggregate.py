@@ -26,14 +26,9 @@ from .errors import DossierError
 from .inputs import (
     DEFAULT_REGION,
     InputKind,
-    MalformedEmailError,
-    MalformedPhoneError,
     QueryInput,
-    UnknownRegionError,
-    canonical_hard_value,
+    canonical_identifier,
     hard_identifier_attribute,
-    normalize_email,
-    normalize_phone,
 )
 from .routing import Registry
 from .similarity import token_set_jaccard
@@ -88,24 +83,6 @@ class CandidateProfile:
     match: float = 0.0
 
 
-def _canonicalize(attribute: str, value: str, default_region: str) -> Optional[str]:
-    """Strict canonical form for hard identifiers; None when unnormalizable."""
-    if attribute == "email":
-        try:
-            return normalize_email(value)
-        except MalformedEmailError:
-            return None
-    if attribute == "phone":
-        try:
-            return normalize_phone(value, default_region)
-        except (MalformedPhoneError, UnknownRegionError):
-            return None
-    if attribute.startswith("social_handle_"):
-        cleaned = canonical_hard_value(attribute, value)
-        return cleaned or None
-    return value
-
-
 def normalize_records(
     outcomes: Iterable[CollectorOutcome],
     default_region: str = DEFAULT_REGION,
@@ -128,7 +105,7 @@ def normalize_records(
             if raw.attribute not in ATTRIBUTE_KEYS:
                 continue
             if raw.attribute in HARD_IDENTIFIERS:
-                canonical = _canonicalize(raw.attribute, value, default_region)
+                canonical = canonical_identifier(raw.attribute, value, default_region)
                 if canonical is None:
                     continue
                 value = canonical
@@ -222,34 +199,29 @@ def resolve_candidates(records: Sequence[EvidenceRecord]) -> list[CandidateProfi
             if seen != index:
                 uf.union(seen, index)
 
-    # Soft name linking between identifier-free clusters, to a fixed point.
-    # Merging only ever unions name sets, so eligibility never goes away
-    # mid-loop and the final partition does not depend on merge order.
-    changed = True
-    while changed:
-        changed = False
-        groups = _group(uf, size)
-        cluster_info = []
-        for root, members in groups.items():
-            has_hard = any(recs[i].attribute in HARD_IDENTIFIERS for i in members)
-            names = [recs[i].value for i in members if recs[i].attribute in NAME_ATTRIBUTES]
-            cluster_info.append((root, has_hard, names))
-        for left_pos in range(len(cluster_info)):
-            left_root, left_hard, left_names = cluster_info[left_pos]
-            if left_hard or not left_names:
+    # Soft name linking between identifier-free clusters, in one pass.
+    # Merging only unions name sets: eligibility survives a merge, and a
+    # merged cluster's best overlap is the maximum over its parts.  So the
+    # union of all qualifying pairs is already the fixed point, whatever
+    # the merge order.
+    cluster_info = []
+    for root, members in _group(uf, size).items():
+        has_hard = any(recs[i].attribute in HARD_IDENTIFIERS for i in members)
+        names = [recs[i].value for i in members if recs[i].attribute in NAME_ATTRIBUTES]
+        cluster_info.append((root, has_hard, names))
+    for left_pos in range(len(cluster_info)):
+        left_root, left_hard, left_names = cluster_info[left_pos]
+        if left_hard or not left_names:
+            continue
+        for right_pos in range(left_pos + 1, len(cluster_info)):
+            right_root, right_hard, right_names = cluster_info[right_pos]
+            if right_hard or not right_names:
                 continue
-            for right_pos in range(left_pos + 1, len(cluster_info)):
-                right_root, right_hard, right_names = cluster_info[right_pos]
-                if right_hard or not right_names:
-                    continue
-                if uf.find(left_root) == uf.find(right_root):
-                    continue
-                best = max(
-                    token_set_jaccard(a, b) for a in left_names for b in right_names
-                )
-                if best >= SOFT_MATCH_THRESHOLD:
-                    uf.union(left_root, right_root)
-                    changed = True
+            if uf.find(left_root) == uf.find(right_root):
+                continue
+            best = max(token_set_jaccard(a, b) for a in left_names for b in right_names)
+            if best >= SOFT_MATCH_THRESHOLD:
+                uf.union(left_root, right_root)
 
     profiles = []
     for members in _group(uf, size).values():

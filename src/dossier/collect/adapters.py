@@ -8,12 +8,11 @@ executor to absorb.  Nothing in the offline test corpus depends on it.
 
 from __future__ import annotations
 
-import http.client
+import functools
 import json
 import os
 import urllib.error
 import urllib.parse
-import urllib.request
 
 from ..errors import DossierError
 from ..inputs import QueryInput
@@ -49,16 +48,20 @@ class MissingCredentialError(AdapterError):
 MAX_BODY_BYTES = 1 << 20
 
 
-class _NoRedirect(urllib.request.HTTPRedirectHandler):
-    """Refuse every redirect, so no request (and no credential) is re-sent."""
+@functools.cache
+def _opener():
+    """The shared opener, built on first use: ``urllib.request`` pulls in
+    ``http.client``, ``email`` and ``ssl``, which runs without HTTP collectors
+    never need, and building an opener reads the proxy environment."""
+    import urllib.request
 
-    def redirect_request(self, *args, **kwargs):
-        return None
+    class _NoRedirect(urllib.request.HTTPRedirectHandler):
+        """Refuse every redirect, so no request (and no credential) is re-sent."""
 
+        def redirect_request(self, *args, **kwargs):
+            return None
 
-# Built once: building an opener costs about half a millisecond, and it reads
-# the proxy environment variables at that point.
-_OPENER = urllib.request.build_opener(_NoRedirect)
+    return urllib.request.build_opener(_NoRedirect)
 
 
 def _extract(payload: object, path: str) -> object:
@@ -112,6 +115,9 @@ def fetch_http(
     All records from one response share the request URL as their provenance
     locator, marking them as one batch about one person.
     """
+    import http.client
+    import urllib.request
+
     substituted = config.query_template.format(
         value=urllib.parse.quote(query.canonical, safe=""),
         kind=query.kind.value,
@@ -130,7 +136,7 @@ def fetch_http(
         raise NetworkError(f"{config.method} {url} failed: not an http(s) URL")
     request = urllib.request.Request(url, method=config.method, headers=headers)
     try:
-        with _OPENER.open(request, timeout=timeout_ms / 1000.0) as response:
+        with _opener().open(request, timeout=timeout_ms / 1000.0) as response:
             body = response.read(MAX_BODY_BYTES + 1)
     except urllib.error.HTTPError as exc:
         exc.close()

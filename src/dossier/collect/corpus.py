@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Tuple
+from typing import Iterable, Tuple
 
 from ..errors import DossierError
-from ..inputs import InputKind, QueryInput, canonical_hard_value, hard_identifier_attribute
+from ..inputs import InputKind, QueryInput, canonical_identifier, hard_identifier_attribute
 from ..similarity import token_set_jaccard
 from ..vocab import ATTRIBUTE_KEYS, NAME_ATTRIBUTES
 from .records import RawRecord
@@ -25,6 +26,10 @@ _CORPUS_FIELDS = frozenset({"subject_id", "attribute", "value", "platforms", "co
 
 # Minimum token overlap for a name or keyword query to match a subject.
 NAME_MATCH_THRESHOLD = 0.5
+
+# The host of a lowercased URL: an optional "scheme://" and "userinfo@" are
+# skipped, and the host ends at a port, path, query or fragment.
+_URL_HOST_RE = re.compile(r"(?:(?:[a-z][a-z0-9+.-]*:)?//)?(?:[^/?#@]*@)?([^/?#:]*)")
 
 
 class CorpusError(DossierError):
@@ -155,13 +160,22 @@ def bundled_corpus_path() -> Path:
     return Path(resources.files("dossier").joinpath("data/case_studies.jsonl"))
 
 
+def _url_on_domain(url: str, domain: str) -> bool:
+    """Whether *url*'s host is *domain* or a subdomain of it."""
+    lowered = url.strip().lower()
+    if domain not in lowered:  # cheap prefilter: most URLs miss outright
+        return False
+    host = _URL_HOST_RE.match(lowered).group(1).rstrip(".")
+    return host == domain or host.endswith("." + domain)
+
+
 def _subject_matches(facts: Tuple[CorpusFact, ...], query: QueryInput) -> bool:
     kind = query.kind
     if kind in (InputKind.EMAIL, InputKind.PHONE, InputKind.SOCIAL_HANDLE):
         attribute = hard_identifier_attribute(kind, query.platform)
         return any(
             fact.attribute == attribute
-            and canonical_hard_value(attribute, fact.value) == query.canonical
+            and canonical_identifier(attribute, fact.value, query.region) == query.canonical
             for fact in facts
         )
     if kind in (InputKind.NAME, InputKind.KEYWORD):
@@ -174,7 +188,7 @@ def _subject_matches(facts: Tuple[CorpusFact, ...], query: QueryInput) -> bool:
         suffix = "@" + query.canonical
         return any(
             (fact.attribute == "email" and fact.value.strip().lower().endswith(suffix))
-            or (fact.attribute == "url" and query.canonical in fact.value.lower())
+            or (fact.attribute == "url" and _url_on_domain(fact.value, query.canonical))
             for fact in facts
         )
     # Image queries have no offline matching rule; a corpus-backed image
@@ -193,7 +207,9 @@ def corpus_collect(corpus: Corpus, collector, query: QueryInput) -> list[RawReco
     Identifier queries (email, phone, social handle) match subjects owning
     the identical canonical identifier fact; name and keyword queries match
     on token-set overlap with any full_name or alias fact; domain queries
-    match subjects with an email at, or a URL containing, the domain.  One
+    match subjects with an email at the domain or a URL whose host is the
+    domain or one of its subdomains.  Corpus phone numbers written without
+    a leading ``+`` are read in the query's region.  One
     provenance batch is emitted per matched subject, so everything returned
     about one person hangs together downstream.
     """

@@ -99,6 +99,20 @@ class TestNormalize:
         (record,) = normalize_records(outcomes, default_region="IN")
         assert record.value == "+919876543210"
 
+    def test_malformed_handles_dropped(self):
+        outcomes = [
+            success(
+                "src",
+                raw("social_handle_twitter", "john doe"),
+                raw("social_handle_facebook", "j@ne"),
+                raw("social_handle_instagram", "@Jane.Doe"),
+            )
+        ]
+        records = normalize_records(outcomes)
+        assert [(r.attribute, r.value) for r in records] == [
+            ("social_handle_instagram", "jane.doe")
+        ]
+
     def test_source_and_provenance_preserved(self):
         outcomes = [success("src", raw("interest", "chess", provenance="src/batch-9"))]
         (record,) = normalize_records(outcomes)

@@ -10,8 +10,10 @@ from dossier.cli import (
     EXIT_NO_COLLECTORS,
     EXIT_OK,
     EXIT_USAGE,
+    PipelineConfig,
     main,
     parse_args,
+    run_pipeline,
 )
 
 from conftest import fact, write_jsonl
@@ -377,6 +379,30 @@ class TestPipelineBehaviour:
         text = out.read_text()
         assert "+14122682597" in text
         assert "Pat Doe" in text
+        capsys.readouterr()
+
+    def test_national_phone_in_corpus_found_by_the_same_string(self, tmp_path, capsys):
+        rows = [
+            fact("s-p", "phone", "098765 43210", ["bmobile", "maltego", "pipl"]),
+            fact("s-p", "full_name", "Pat Doe", ["maltego"]),
+        ]
+        out = tmp_path / "r.json"
+        config = PipelineConfig(
+            input_text="098765 43210",
+            corpus_path=write_jsonl(tmp_path / "phones.jsonl", rows),
+            out_path=str(out),
+            fmt="json",
+        )
+        assert run_pipeline(config) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["candidate"]["cluster_size"] > 0
+        assert report["candidate"]["rejected_candidates"] == 0  # one candidate
+        facts = {
+            (f["attribute"], f["value"])
+            for section in report["sections"]
+            for f in section["facts"]
+        }
+        assert ("phone", "+9109876543210") in facts
         capsys.readouterr()
 
     def test_no_match_still_writes_empty_report(self, john_smith_corpus, tmp_path, capsys):

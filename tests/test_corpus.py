@@ -2,9 +2,13 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from dossier.aggregate import normalize_records
 from dossier.collect.corpus import (
     Corpus,
+    CorpusFact,
     CorpusIOError,
     CorpusParseError,
     UnknownAttributeError,
@@ -12,7 +16,9 @@ from dossier.collect.corpus import (
     corpus_collect,
     load_corpus,
 )
-from dossier.inputs import classify_input
+from dossier.collect.records import CollectorOutcome, OutcomeStatus, RawRecord
+from dossier.errors import DossierError
+from dossier.inputs import InputKind, Platform, canonical_identifier, classify_input
 from dossier.routing import builtin_matrix
 
 from conftest import fact, write_jsonl
@@ -170,6 +176,30 @@ class TestCollection:
             ("url", "https://corp.example/team/aldo"),
         }
 
+    def test_domain_query_matches_url_hosts_on_label_boundaries(self, tmp_path):
+        rows = [
+            fact("s-evil", "url", "https://example.com.evil.net/x", ["maltego"]),
+            fact("s-example", "url", "https://example.com/x", ["maltego"]),
+            fact("s-blog", "url", "https://blog.ample.com/x", ["maltego"]),
+        ]
+        corpus = load_corpus(write_jsonl(tmp_path / "c.jsonl", rows))
+        records = corpus_collect(corpus, FakeCollector("maltego"), classify_input("ample.com"))
+        assert [r.value for r in records] == ["https://blog.ample.com/x"]
+
+    def test_national_phone_found_by_the_same_string(self, tmp_path):
+        rows = [
+            fact("s-p", "phone", "098765 43210", ["maltego"]),
+            fact("s-p", "full_name", "Pat Doe", ["maltego"]),
+        ]
+        corpus = load_corpus(write_jsonl(tmp_path / "c.jsonl", rows))
+        records = corpus_collect(
+            corpus, FakeCollector("maltego"), classify_input("098765 43210")
+        )
+        assert {(r.attribute, r.value) for r in records} == {
+            ("phone", "098765 43210"),
+            ("full_name", "Pat Doe"),
+        }
+
     def test_one_provenance_batch_per_subject(self, tmp_path):
         rows = [
             fact("s-1", "full_name", "Ona Brook", ["webmii"]),
@@ -198,3 +228,73 @@ class TestCollection:
         first = corpus_collect(corpus, FakeCollector("maltego"), q)
         second = corpus_collect(corpus, FakeCollector("maltego"), q)
         assert first == second
+
+
+# Facts that exercise every identifier rule: well-formed and malformed
+# emails, E.164 and national phones, handles with and without "@" or spaces,
+# and arbitrary text under any identifier attribute.
+_HINTS = {
+    "email": (InputKind.EMAIL, None),
+    "phone": (InputKind.PHONE, None),
+    "social_handle_twitter": (InputKind.SOCIAL_HANDLE, Platform.TWITTER),
+    "social_handle_facebook": (InputKind.SOCIAL_HANDLE, Platform.FACEBOOK),
+    "social_handle_instagram": (InputKind.SOCIAL_HANDLE, Platform.INSTAGRAM),
+}
+_identifier_facts = st.one_of(
+    st.tuples(
+        st.just("email"),
+        st.builds(
+            "{}@{}".format,
+            st.text("abcXYZ.+_", max_size=6),
+            st.text("abcXYZ.-@ ", max_size=8),
+        ),
+    ),
+    st.tuples(
+        st.just("phone"),
+        st.builds(
+            "{}{}".format,
+            st.sampled_from(["", "+", " +", "0"]),
+            st.text("0123456789 ()-.", min_size=6, max_size=18),
+        ),
+    ),
+    st.tuples(
+        st.sampled_from(
+            ["social_handle_facebook", "social_handle_instagram", "social_handle_twitter"]
+        ),
+        st.builds(
+            "{}{}".format,
+            st.sampled_from(["", "@", " "]),
+            st.text("abcXYZ._@ 1", max_size=8),
+        ),
+    ),
+    st.tuples(st.sampled_from(sorted(_HINTS)), st.text(max_size=12)),
+)
+
+
+@given(_identifier_facts, st.sampled_from(["IN", "US", "GB", "ZZ"]))
+def test_matcher_aggregator_and_classifier_agree_on_identifiers(identifier_fact, region):
+    """The corpus matcher accepts the query classified from a fact's value
+    exactly when the fact's canonical identifier equals the query's canonical
+    form, and the aggregator keeps that fact as exactly that canonical form."""
+    attribute, value = identifier_fact
+    canonical = canonical_identifier(attribute, value, region)
+    kept = normalize_records(
+        [
+            CollectorOutcome(
+                collector="c",
+                status=OutcomeStatus.SUCCESS,
+                records=(RawRecord(attribute, value, 1.0, "c/1"),),
+            )
+        ],
+        default_region=region,
+    )
+    assert [r.value for r in kept] == ([] if canonical is None else [canonical])
+
+    kind, platform = _HINTS[attribute]
+    try:
+        query = classify_input(value, kind, platform, default_region=region)
+    except DossierError:
+        return
+    corpus = Corpus([CorpusFact("s", attribute, value, frozenset({"c"}), 1.0)])
+    accepted = bool(corpus_collect(corpus, FakeCollector("c"), query))
+    assert accepted == (canonical == query.canonical)

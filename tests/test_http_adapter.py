@@ -271,7 +271,7 @@ def test_cli_import_pulls_in_no_http_library():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = (
         "import sys, dossier.cli; "
-        "print(sorted({'requests', 'urllib3'} & sys.modules.keys()))"
+        "print(sorted({'requests', 'urllib3', 'http.client'} & sys.modules.keys()))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60

@@ -14,7 +14,7 @@ from dossier.inputs import (
     MissingImageError,
     Platform,
     UnknownRegionError,
-    canonical_hard_value,
+    canonical_identifier,
     classify_input,
     country_calling_code,
     hard_identifier_attribute,
@@ -225,13 +225,37 @@ class TestHardIdentifierMapping:
         assert hard_identifier_attribute(InputKind.SOCIAL_HANDLE, None) is None
         assert hard_identifier_attribute(InputKind.NAME, None) is None
 
-    def test_canonical_hard_value_is_lenient(self):
-        assert canonical_hard_value("email", "  User@X.Io ") == "user@x.io"
-        assert canonical_hard_value("email", "not-an-email") == "not-an-email"
-        assert canonical_hard_value("phone", "+1 (412) 268-2597") == "+14122682597"
-        assert canonical_hard_value("phone", "garbage") == "garbage"
-        assert canonical_hard_value("social_handle_twitter", "@Jack") == "jack"
-        assert canonical_hard_value("full_name", "  Harry ") == "harry"
+
+@pytest.mark.parametrize(
+    "attribute, value, region, expected",
+    [
+        ("email", "  User@X.Io ", "IN", "user@x.io"),
+        ("email", "not-an-email", "IN", None),
+        ("email", "a@b@c.co", "IN", None),
+        ("phone", "+1 (412) 268-2597", "IN", "+14122682597"),
+        ("phone", "+1 (412) 268-2597", "ZZ", "+14122682597"),
+        ("phone", "098765 43210", "IN", "+9109876543210"),
+        ("phone", "(412) 268-2597", "us", "+14122682597"),
+        ("phone", "(412) 268-2597", "ZZ", None),  # unknown region
+        ("phone", "garbage", "IN", None),
+        ("phone", "1234567", "IN", None),  # too few digits
+        ("social_handle_twitter", "@Jack", "IN", "jack"),
+        ("social_handle_instagram", "shahin.mzr", "IN", "shahin.mzr"),
+        ("social_handle_twitter", "john doe", "IN", None),
+        ("social_handle_facebook", "j@ck", "IN", None),
+        ("social_handle_twitter", "@", "IN", None),
+        ("full_name", "  Harry ", "IN", None),  # not a hard identifier
+    ],
+)
+def test_canonical_identifier(attribute, value, region, expected):
+    assert canonical_identifier(attribute, value, region) == expected
+
+
+def test_query_carries_the_classification_region():
+    assert classify_input("Harry Styles").region == "IN"
+    assert classify_input("(412) 268-2597", default_region="US").region == "US"
+    hinted = classify_input("jack", InputKind.SOCIAL_HANDLE, Platform.TWITTER, "GB")
+    assert hinted.region == "GB"
 
 
 # Strings that at least contain something printable, to exercise every rule.
