@@ -47,7 +47,6 @@ from .report import (
     Report,
     ReportTemplate,
     build_report,
-    load_template_override,
     render,
     report_from_json,
     section_plan,
@@ -96,7 +95,6 @@ __all__ = [
     "filter_relevance",
     "load_corpus",
     "load_overlay",
-    "load_template_override",
     "make_fetcher",
     "match_score",
     "normalize_email",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from .collect.records import CollectorOutcome, OutcomeStatus
 from .errors import DossierError
@@ -31,14 +31,11 @@ from .inputs import (
     hard_identifier_attribute,
 )
 from .routing import Registry
-from .similarity import token_set_jaccard
+from .similarity import NAME_MATCH_THRESHOLD, token_set_jaccard
 from .vocab import ATTRIBUTE_KEYS, HARD_IDENTIFIERS, NAME_ATTRIBUTES
 
 # Records below this confidence are dropped outright.
 MIN_CONFIDENCE = 0.01
-# Two hard-identifier-free clusters merge when their best name overlap
-# reaches this threshold.
-SOFT_MATCH_THRESHOLD = 0.5
 # Match score weights: identifier equality dominates, name overlap helps,
 # visibility breaks the remaining distance.
 HARD_MATCH_WEIGHT = 3.0
@@ -62,7 +59,6 @@ class EvidenceRecord:
     source: str
     confidence: float
     provenance: str
-    cluster_id: Optional[str] = None
 
     @property
     def record_id(self) -> str:
@@ -220,7 +216,7 @@ def resolve_candidates(records: Sequence[EvidenceRecord]) -> list[CandidateProfi
             if uf.find(left_root) == uf.find(right_root):
                 continue
             best = max(token_set_jaccard(a, b) for a in left_names for b in right_names)
-            if best >= SOFT_MATCH_THRESHOLD:
+            if best >= NAME_MATCH_THRESHOLD:
                 uf.union(left_root, right_root)
 
     profiles = []
@@ -230,8 +226,7 @@ def resolve_candidates(records: Sequence[EvidenceRecord]) -> list[CandidateProfi
             key=lambda r: (r.attribute, r.value, r.source, r.provenance, r.confidence),
         )
         cluster_id = min(record.record_id for record in group_records)
-        stamped = tuple(replace(r, cluster_id=cluster_id) for r in group_records)
-        profiles.append(CandidateProfile(cluster_id=cluster_id, records=stamped))
+        profiles.append(CandidateProfile(cluster_id, tuple(group_records)))
     # Canonical order even if two clusters share a content-addressed id
     # (possible only for input that skipped dedup).
     profiles.sort(

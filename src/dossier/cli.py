@@ -37,7 +37,7 @@ from .inputs import (
     classify_input,
 )
 from .report import REPORT_FORMATS, TEMPLATE_NAMES, build_report, render, section_plan
-from .routing import OverlayError, builtin_matrix, load_overlay, route
+from .routing import ACCEPT_COLUMNS, OverlayError, builtin_matrix, load_overlay, route
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -45,18 +45,12 @@ EXIT_NO_COLLECTORS = 3
 EXIT_ALL_FAILED = 4
 EXIT_FILE_ERROR = 5
 
-# CLI --kind spellings -> (kind hint, platform hint).
+# CLI --kind spellings -> (kind hint, platform hint): the routing columns
+# plus "auto" (no hint) and "name".
 KIND_CHOICES: dict[str, tuple[Optional[InputKind], Optional[Platform]]] = {
     "auto": (None, None),
     "name": (InputKind.NAME, None),
-    "email": (InputKind.EMAIL, None),
-    "phone": (InputKind.PHONE, None),
-    "domain": (InputKind.DOMAIN, None),
-    "keyword": (InputKind.KEYWORD, None),
-    "twitter": (InputKind.SOCIAL_HANDLE, Platform.TWITTER),
-    "facebook": (InputKind.SOCIAL_HANDLE, Platform.FACEBOOK),
-    "instagram": (InputKind.SOCIAL_HANDLE, Platform.INSTAGRAM),
-    "image": (InputKind.IMAGE_PATH, None),
+    **ACCEPT_COLUMNS,
 }
 
 

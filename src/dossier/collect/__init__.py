@@ -9,7 +9,6 @@ from .adapters import (
     fetch_http,
 )
 from .corpus import (
-    NAME_MATCH_THRESHOLD,
     Corpus,
     CorpusError,
     CorpusFact,
@@ -35,7 +34,6 @@ __all__ = [
     "ExecutionConfig",
     "Fetcher",
     "MissingCredentialError",
-    "NAME_MATCH_THRESHOLD",
     "NetworkError",
     "OutcomeStatus",
     "RawRecord",

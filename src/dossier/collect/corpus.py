@@ -18,14 +18,11 @@ from typing import Iterable, Tuple
 
 from ..errors import DossierError
 from ..inputs import InputKind, QueryInput, canonical_identifier, hard_identifier_attribute
-from ..similarity import token_set_jaccard
+from ..similarity import NAME_MATCH_THRESHOLD, token_set_jaccard
 from ..vocab import ATTRIBUTE_KEYS, NAME_ATTRIBUTES
 from .records import RawRecord
 
 _CORPUS_FIELDS = frozenset({"subject_id", "attribute", "value", "platforms", "confidence"})
-
-# Minimum token overlap for a name or keyword query to match a subject.
-NAME_MATCH_THRESHOLD = 0.5
 
 # The host of a lowercased URL: an optional "scheme://" and "userinfo@" are
 # skipped, and the host ends at a port, path, query or fragment.
@@ -160,13 +157,20 @@ def bundled_corpus_path() -> Path:
     return Path(resources.files("dossier").joinpath("data/case_studies.jsonl"))
 
 
-def _url_on_domain(url: str, domain: str) -> bool:
-    """Whether *url*'s host is *domain* or a subdomain of it."""
-    lowered = url.strip().lower()
-    if domain not in lowered:  # cheap prefilter: most URLs miss outright
-        return False
-    host = _URL_HOST_RE.match(lowered).group(1).rstrip(".")
+def _on_domain(host: str, domain: str) -> bool:
+    """Whether *host* is *domain* or a subdomain of it, on a label boundary."""
+    host = host.rstrip(".")
     return host == domain or host.endswith("." + domain)
+
+
+def _fact_on_domain(fact: CorpusFact, domain: str) -> bool:
+    """Whether the host of an email or URL fact is on *domain*."""
+    lowered = fact.value.strip().lower()
+    if domain not in lowered:  # cheap prefilter: most values miss outright
+        return False
+    if fact.attribute == "email":
+        return _on_domain(lowered.rpartition("@")[2], domain)
+    return _on_domain(_URL_HOST_RE.match(lowered).group(1), domain)
 
 
 def _subject_matches(facts: Tuple[CorpusFact, ...], query: QueryInput) -> bool:
@@ -185,10 +189,8 @@ def _subject_matches(facts: Tuple[CorpusFact, ...], query: QueryInput) -> bool:
             for fact in facts
         )
     if kind is InputKind.DOMAIN:
-        suffix = "@" + query.canonical
         return any(
-            (fact.attribute == "email" and fact.value.strip().lower().endswith(suffix))
-            or (fact.attribute == "url" and _url_on_domain(fact.value, query.canonical))
+            fact.attribute in ("email", "url") and _fact_on_domain(fact, query.canonical)
             for fact in facts
         )
     # Image queries have no offline matching rule; a corpus-backed image
@@ -207,11 +209,11 @@ def corpus_collect(corpus: Corpus, collector, query: QueryInput) -> list[RawReco
     Identifier queries (email, phone, social handle) match subjects owning
     the identical canonical identifier fact; name and keyword queries match
     on token-set overlap with any full_name or alias fact; domain queries
-    match subjects with an email at the domain or a URL whose host is the
-    domain or one of its subdomains.  Corpus phone numbers written without
-    a leading ``+`` are read in the query's region.  One
-    provenance batch is emitted per matched subject, so everything returned
-    about one person hangs together downstream.
+    match subjects with an email or a URL whose host is the domain or one
+    of its subdomains.  Corpus phone numbers written without a leading
+    ``+`` are read in the query's region.  One provenance batch is emitted
+    per matched subject, so everything returned about one person hangs
+    together downstream.
     """
     records: list[RawRecord] = []
     for subject_id in corpus.subjects:

@@ -190,8 +190,10 @@ def canonical_identifier(attribute: str, value: str, region: str) -> Optional[st
 
     Applies exactly the rules :func:`classify_input` applies to a query, with
     *region* for national phone numbers, so a query, a corpus fact and an
-    evidence record that name the same identifier canonicalize alike.  Never
-    raises: malformed values and non-identifier attributes give None.
+    evidence record that name the same identifier canonicalize alike: a
+    handle stored as ``twitter:Jack`` under ``social_handle_twitter`` is
+    ``jack``, as the query ``twitter:Jack`` is.  Never raises: malformed
+    values and non-identifier attributes give None.
     """
     try:
         if attribute == "email":
@@ -199,6 +201,10 @@ def canonical_identifier(attribute: str, value: str, region: str) -> Optional[st
         if attribute == "phone":
             return normalize_phone(value, region)
         if attribute.startswith("social_handle_"):
+            # The ":" test keeps the prefix regex off the common path.
+            prefixed = _platform_from_prefix(value.strip()) if ":" in value else None
+            if prefixed is not None and attribute == "social_handle_" + prefixed[0].value:
+                value = prefixed[1]
             return normalize_handle(value)
     except (MalformedEmailError, MalformedPhoneError, UnknownRegionError, InvalidForHintError):
         return None

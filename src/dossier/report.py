@@ -11,8 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .aggregate import CandidateProfile, EvidenceRecord
@@ -29,10 +28,6 @@ SCHEMA_VERSION = 1
 
 class UnknownTemplateError(DossierError):
     """No section plan exists under the requested template name."""
-
-
-class TemplateFileError(DossierError):
-    """A template override file is missing, unreadable, or malformed."""
 
 
 class ReportParseError(DossierError):
@@ -137,30 +132,6 @@ def section_plan(name: str) -> ReportTemplate:
     return ReportTemplate(name=name, sections=plan)
 
 
-def load_template_override(path: str | Path) -> ReportTemplate:
-    """Load a custom section plan from a JSON file.
-
-    Shape: ``{"name": "...", "sections": [["Heading", ["attr", ...]], ...]}``
-    — the same structure as the built-in plans.
-    """
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise TemplateFileError(f"cannot read template file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise TemplateFileError(f"{path}: not valid JSON: {exc}") from exc
-    try:
-        name = payload["name"]
-        sections = tuple(
-            (str(title), tuple(str(a) for a in attributes))
-            for title, attributes in payload["sections"]
-        )
-        return ReportTemplate(name=str(name), sections=sections)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TemplateFileError(f"{path}: bad template structure: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class RenderedFact:
     """One line of a report: an attribute value with its source attributions."""
@@ -184,7 +155,7 @@ class QueryEcho:
     kind: str
     raw: str
     canonical: str
-    platform: Optional[str] = None
+    platform: Optional[str]
 
 
 @dataclass(frozen=True)
@@ -214,46 +185,23 @@ class Report:
     generated_at: str
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "template": self.template,
-            "generated_at": self.generated_at,
-            "query": {
-                "kind": self.query.kind,
-                "raw": self.query.raw,
-                "canonical": self.query.canonical,
-                "platform": self.query.platform,
-            },
-            "candidate": {
-                "visibility": self.candidate.visibility,
-                "match": self.candidate.match,
-                "cluster_size": self.candidate.cluster_size,
-                "rejected_candidates": self.candidate.rejected_candidates,
-            },
-            "sections": [
-                {
-                    "title": section.title,
-                    "facts": [
-                        {
-                            "attribute": fact.attribute,
-                            "value": fact.value,
-                            "sources": list(fact.sources),
-                            "confidence": fact.confidence,
-                        }
-                        for fact in section.facts
-                    ],
-                }
-                for section in self.sections
-            ],
-            "failures": [
-                {"collector": f.collector, "status": f.status, "detail": f.detail}
-                for f in self.failures
-            ],
-        }
+        """The JSON document: the field names are its keys, plus ``schema_version``."""
+        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
+
+
+def _section_from_dict(section: dict) -> ReportSection:
+    facts = tuple(
+        RenderedFact(**{**fact, "sources": tuple(fact["sources"])}) for fact in section["facts"]
+    )
+    return ReportSection(**{**section, "facts": facts})
 
 
 def report_from_json(data: bytes | str) -> Report:
-    """Parse a JSON rendering back into an equivalent :class:`Report`."""
+    """Parse a JSON rendering back into an equivalent :class:`Report`.
+
+    Every object must carry exactly its dataclass's fields: a missing or an
+    unexpected key is a :class:`ReportParseError`.
+    """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
@@ -265,46 +213,15 @@ def report_from_json(data: bytes | str) -> Report:
             raise ReportParseError(
                 f"unsupported schema_version {payload['schema_version']!r}"
             )
-        query = QueryEcho(
-            kind=payload["query"]["kind"],
-            raw=payload["query"]["raw"],
-            canonical=payload["query"]["canonical"],
-            platform=payload["query"]["platform"],
-        )
-        candidate = CandidateSummary(
-            visibility=payload["candidate"]["visibility"],
-            match=payload["candidate"]["match"],
-            cluster_size=payload["candidate"]["cluster_size"],
-            rejected_candidates=payload["candidate"]["rejected_candidates"],
-        )
-        sections = tuple(
-            ReportSection(
-                title=section["title"],
-                facts=tuple(
-                    RenderedFact(
-                        attribute=fact["attribute"],
-                        value=fact["value"],
-                        sources=tuple(fact["sources"]),
-                        confidence=fact["confidence"],
-                    )
-                    for fact in section["facts"]
-                ),
-            )
-            for section in payload["sections"]
-        )
-        failures = tuple(
-            CollectionFailure(
-                collector=f["collector"], status=f["status"], detail=f["detail"]
-            )
-            for f in payload["failures"]
-        )
+        fields = {key: value for key, value in payload.items() if key != "schema_version"}
         return Report(
-            template=payload["template"],
-            query=query,
-            candidate=candidate,
-            sections=sections,
-            failures=failures,
-            generated_at=payload["generated_at"],
+            **{
+                **fields,
+                "query": QueryEcho(**fields["query"]),
+                "candidate": CandidateSummary(**fields["candidate"]),
+                "sections": tuple(map(_section_from_dict, fields["sections"])),
+                "failures": tuple(CollectionFailure(**f) for f in fields["failures"]),
+            }
         )
     except (KeyError, TypeError) as exc:
         raise ReportParseError(f"bad report structure: {exc}") from exc

@@ -7,6 +7,11 @@ import unicodedata
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
+# Token overlap at which two names count as the same person: a name or
+# keyword query matches a corpus subject, and two identifier-free clusters
+# merge.
+NAME_MATCH_THRESHOLD = 0.5
+
 
 def fold_text(value: str) -> str:
     """Lowercase *value* and strip diacritics (NFKD, combining marks dropped)."""

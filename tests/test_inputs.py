@@ -244,6 +244,10 @@ class TestHardIdentifierMapping:
         ("social_handle_twitter", "john doe", "IN", None),
         ("social_handle_facebook", "j@ck", "IN", None),
         ("social_handle_twitter", "@", "IN", None),
+        ("social_handle_twitter", "twitter:Jack", "IN", "jack"),
+        ("social_handle_twitter", " TWITTER:@Jack", "IN", "jack"),
+        ("social_handle_twitter", "facebook:jack", "IN", "facebook:jack"),
+        ("social_handle_instagram", "instagram:", "IN", None),
         ("full_name", "  Harry ", "IN", None),  # not a hard identifier
     ],
 )

@@ -12,10 +12,8 @@ from dossier.report import (
     UNMAPPED_SECTION,
     ReportParseError,
     ReportTemplate,
-    TemplateFileError,
     UnknownTemplateError,
     build_report,
-    load_template_override,
     render,
     report_from_json,
     section_plan,
@@ -89,40 +87,6 @@ class TestSectionPlans:
             ReportTemplate(name="x", sections=(("A", ("shoe_size",)),))
         with pytest.raises(ValueError):
             ReportTemplate(name="x", sections=(("A", ("email",)), ("B", ("email",))))
-
-
-class TestTemplateOverride:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "plan.json"
-        path.write_text(
-            json.dumps(
-                {"name": "slim", "sections": [["Who", ["full_name", "alias"]]]}
-            )
-        )
-        plan = load_template_override(path)
-        assert plan.name == "slim"
-        assert plan.section_of("alias") == "Who"
-
-    @pytest.mark.parametrize(
-        "body",
-        [
-            "not json {",
-            json.dumps({"sections": []}),
-            json.dumps({"name": "x"}),
-            json.dumps({"name": "x", "sections": [["A", ["shoe_size"]]]}),
-            json.dumps({"name": "x", "sections": [["A", ["email"]], ["B", ["email"]]]}),
-            json.dumps({"name": "x", "sections": "oops"}),
-        ],
-    )
-    def test_malformed_overrides_rejected(self, tmp_path, body):
-        path = tmp_path / "plan.json"
-        path.write_text(body)
-        with pytest.raises(TemplateFileError):
-            load_template_override(path)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(TemplateFileError):
-            load_template_override(tmp_path / "absent.json")
 
 
 def sample_inputs():
@@ -283,6 +247,91 @@ class TestRender:
             "Unmapped Evidence",
         ]
 
+    def test_json_exact_bytes(self):
+        report = self.small_report()
+        expected = """\
+{
+  "candidate": {
+    "cluster_size": 5,
+    "match": 3.5,
+    "rejected_candidates": 1,
+    "visibility": 3.5849625
+  },
+  "failures": [
+    {
+      "collector": "pipl",
+      "detail": "NetworkError: x",
+      "status": "error"
+    },
+    {
+      "collector": "tinfoleak",
+      "detail": "no response within 50 ms",
+      "status": "timeout"
+    }
+  ],
+  "generated_at": "2020-01-01T00:00:00+00:00",
+  "query": {
+    "canonical": "nora@q.example",
+    "kind": "email",
+    "platform": null,
+    "raw": "nora@q.example"
+  },
+  "schema_version": 1,
+  "sections": [
+    {
+      "facts": [
+        {
+          "attribute": "full_name",
+          "confidence": 0.9,
+          "sources": [
+            "maltego",
+            "webmii"
+          ],
+          "value": "Nora Quinn"
+        }
+      ],
+      "title": "Bio"
+    },
+    {
+      "facts": [
+        {
+          "attribute": "email",
+          "confidence": 0.9,
+          "sources": [
+            "maltego"
+          ],
+          "value": "nora@q.example"
+        }
+      ],
+      "title": "Contact Details"
+    },
+    {
+      "facts": [
+        {
+          "attribute": "breach",
+          "confidence": 0.9,
+          "sources": [
+            "whatbreach"
+          ],
+          "value": "megacorp-2019"
+        },
+        {
+          "attribute": "location",
+          "confidence": 0.9,
+          "sources": [
+            "maltego"
+          ],
+          "value": "Oslo"
+        }
+      ],
+      "title": "Unmapped Evidence"
+    }
+  ],
+  "template": "employee"
+}
+"""
+        assert render(report, "json").decode("utf-8") == expected
+
     def test_json_rejects_garbage(self):
         with pytest.raises(ReportParseError):
             report_from_json(b"not json")
@@ -290,6 +339,14 @@ class TestRender:
             report_from_json(json.dumps({"schema_version": 99}))
         with pytest.raises(ReportParseError):
             report_from_json(json.dumps({"schema_version": 1}))
+        payload = json.loads(render(self.small_report(), "json"))
+        payload["query"]["extra"] = "unexpected"
+        with pytest.raises(ReportParseError):
+            report_from_json(json.dumps(payload))
+        payload = json.loads(render(self.small_report(), "json"))
+        del payload["sections"][0]["facts"][0]["sources"]
+        with pytest.raises(ReportParseError):
+            report_from_json(json.dumps(payload))
 
     def test_csv_exact_bytes(self):
         report = self.small_report()
