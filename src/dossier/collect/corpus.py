@@ -11,14 +11,21 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import threading
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Tuple
+from typing import Callable, Iterable, Mapping, Sequence, Tuple
 
 from ..errors import DossierError
-from ..inputs import InputKind, QueryInput, canonical_identifier, hard_identifier_attribute
-from ..similarity import NAME_MATCH_THRESHOLD, token_set_jaccard
+from ..inputs import (
+    DEFAULT_REGION,
+    InputKind,
+    QueryInput,
+    canonical_identifier,
+    hard_identifier_attribute,
+)
+from ..similarity import NAME_MATCH_THRESHOLD, name_tokens, token_set_jaccard
 from ..vocab import ATTRIBUTE_KEYS, NAME_ATTRIBUTES
 from .records import RawRecord
 
@@ -66,9 +73,15 @@ class CorpusFact:
 
 
 class Corpus:
-    """Facts grouped by subject, with deterministic iteration order."""
+    """Facts grouped by subject, with deterministic iteration order.
 
-    __slots__ = ("_by_subject",)
+    Queries are answered from indexes that each key family builds on its
+    first use and keeps: a corpus is read-only once loaded, so an index
+    never goes stale.  A lock makes each build happen once even when
+    several threads ask at the same time.
+    """
+
+    __slots__ = ("_by_subject", "_indexes", "_index_lock")
 
     def __init__(self, facts: Iterable[CorpusFact]) -> None:
         grouped: dict[str, list[CorpusFact]] = {}
@@ -78,6 +91,8 @@ class Corpus:
             subject: tuple(sorted(group, key=lambda f: (f.attribute, f.value, f.confidence)))
             for subject, group in sorted(grouped.items())
         }
+        self._indexes: dict[tuple, dict[str, list[str]]] = {}
+        self._index_lock = threading.Lock()
 
     @property
     def subjects(self) -> Tuple[str, ...]:
@@ -88,6 +103,114 @@ class Corpus:
 
     def __len__(self) -> int:
         return sum(len(group) for group in self._by_subject.values())
+
+    def _index(self, key: tuple, build: Callable[[], dict]) -> dict[str, list[str]]:
+        index = self._indexes.get(key)
+        if index is None:
+            with self._index_lock:
+                index = self._indexes.get(key)
+                if index is None:
+                    index = self._indexes[key] = build()
+        return index
+
+    def _matching_subjects(self, query: QueryInput) -> Sequence[str]:
+        """Ids of the subjects *query* matches, sorted (see :func:`corpus_collect`).
+
+        The result may be an index entry: callers must not mutate it.
+        """
+        kind = query.kind
+        by_subject = self._by_subject
+        if kind in (InputKind.EMAIL, InputKind.PHONE, InputKind.SOCIAL_HANDLE):
+            attribute = hard_identifier_attribute(kind, query.platform)
+            if attribute is None:
+                return []
+            index = self._index(
+                ("identifier", attribute, query.region),
+                lambda: _identifier_index(by_subject, attribute, query.region),
+            )
+            return index.get(query.canonical, [])
+        if kind in (InputKind.NAME, InputKind.KEYWORD):
+            index = self._index(("name",), lambda: _name_index(by_subject))
+            candidates = set()
+            for token in name_tokens(query.canonical):
+                candidates.update(index.get(token, ()))
+            # Jaccard >= 0.5 needs a shared token, so only candidates can match.
+            return [
+                subject_id
+                for subject_id in sorted(candidates)
+                if any(
+                    fact.attribute in NAME_ATTRIBUTES
+                    and token_set_jaccard(query.canonical, fact.value) >= NAME_MATCH_THRESHOLD
+                    for fact in by_subject[subject_id]
+                )
+            ]
+        if kind is InputKind.DOMAIN:
+            index = self._index(("host",), lambda: _host_index(by_subject))
+            return index.get(query.canonical, [])
+        # Image queries have no offline matching rule; a corpus-backed image
+        # collector simply finds nothing.
+        return []
+
+
+def _add(index: dict[str, list[str]], key: str, subject_id: str) -> None:
+    # Subjects are visited in sorted order, so each list stays sorted and a
+    # repeat can only be the last entry.
+    ids = index.setdefault(key, [])
+    if not ids or ids[-1] != subject_id:
+        ids.append(subject_id)
+
+
+def _identifier_index(
+    by_subject: Mapping[str, Tuple[CorpusFact, ...]], attribute: str, region: str
+) -> dict[str, list[str]]:
+    """Canonical *attribute* value (national phones read in *region*) -> subject ids."""
+    index: dict[str, list[str]] = {}
+    for subject_id, facts in by_subject.items():
+        for fact in facts:
+            if fact.attribute == attribute:
+                canonical = canonical_identifier(attribute, fact.value, region)
+                if canonical is not None:
+                    _add(index, canonical, subject_id)
+    return index
+
+
+def _name_index(by_subject: Mapping[str, Tuple[CorpusFact, ...]]) -> dict[str, list[str]]:
+    """Name token of any full_name or alias -> subject ids."""
+    index: dict[str, list[str]] = {}
+    for subject_id, facts in by_subject.items():
+        for fact in facts:
+            if fact.attribute in NAME_ATTRIBUTES:
+                for token in name_tokens(fact.value):
+                    _add(index, token, subject_id)
+    return index
+
+
+def _host_index(by_subject: Mapping[str, Tuple[CorpusFact, ...]]) -> dict[str, list[str]]:
+    """Every label suffix of an email or URL host -> subject ids.
+
+    A domain is found exactly under the hosts that equal it or are its
+    subdomains on a label boundary: ``ample.com`` is a label suffix of
+    ``blog.ample.com`` but not of ``example.com``.  Trailing dots are
+    dropped from a host.
+    """
+    index: dict[str, list[str]] = {}
+    for subject_id, facts in by_subject.items():
+        for fact in facts:
+            if fact.attribute == "email":
+                # The host of the email the aggregator keeps; a malformed
+                # email has none.  (No email rule depends on the region.)
+                email = canonical_identifier("email", fact.value, DEFAULT_REGION)
+                if email is None:
+                    continue
+                host = email.rpartition("@")[2]
+            elif fact.attribute == "url":
+                host = _URL_HOST_RE.match(fact.value.strip().lower()).group(1)
+            else:
+                continue
+            labels = host.rstrip(".").split(".")
+            for start in range(len(labels)):
+                _add(index, ".".join(labels[start:]), subject_id)
+    return index
 
 
 def _fact_from_line(line_number: int, line: str) -> CorpusFact:
@@ -157,47 +280,6 @@ def bundled_corpus_path() -> Path:
     return Path(resources.files("dossier").joinpath("data/case_studies.jsonl"))
 
 
-def _on_domain(host: str, domain: str) -> bool:
-    """Whether *host* is *domain* or a subdomain of it, on a label boundary."""
-    host = host.rstrip(".")
-    return host == domain or host.endswith("." + domain)
-
-
-def _fact_on_domain(fact: CorpusFact, domain: str) -> bool:
-    """Whether the host of an email or URL fact is on *domain*."""
-    lowered = fact.value.strip().lower()
-    if domain not in lowered:  # cheap prefilter: most values miss outright
-        return False
-    if fact.attribute == "email":
-        return _on_domain(lowered.rpartition("@")[2], domain)
-    return _on_domain(_URL_HOST_RE.match(lowered).group(1), domain)
-
-
-def _subject_matches(facts: Tuple[CorpusFact, ...], query: QueryInput) -> bool:
-    kind = query.kind
-    if kind in (InputKind.EMAIL, InputKind.PHONE, InputKind.SOCIAL_HANDLE):
-        attribute = hard_identifier_attribute(kind, query.platform)
-        return any(
-            fact.attribute == attribute
-            and canonical_identifier(attribute, fact.value, query.region) == query.canonical
-            for fact in facts
-        )
-    if kind in (InputKind.NAME, InputKind.KEYWORD):
-        return any(
-            fact.attribute in NAME_ATTRIBUTES
-            and token_set_jaccard(query.canonical, fact.value) >= NAME_MATCH_THRESHOLD
-            for fact in facts
-        )
-    if kind is InputKind.DOMAIN:
-        return any(
-            fact.attribute in ("email", "url") and _fact_on_domain(fact, query.canonical)
-            for fact in facts
-        )
-    # Image queries have no offline matching rule; a corpus-backed image
-    # collector simply finds nothing.
-    return False
-
-
 def _batch_locator(collector_name: str, subject_id: str) -> str:
     digest = hashlib.sha256(f"{collector_name}\x1f{subject_id}".encode("utf-8")).hexdigest()
     return f"{collector_name}/{digest[:12]}"
@@ -216,12 +298,9 @@ def corpus_collect(corpus: Corpus, collector, query: QueryInput) -> list[RawReco
     together downstream.
     """
     records: list[RawRecord] = []
-    for subject_id in corpus.subjects:
-        facts = corpus.facts_for(subject_id)
-        if not _subject_matches(facts, query):
-            continue
+    for subject_id in corpus._matching_subjects(query):
         locator = _batch_locator(collector.name, subject_id)
-        for fact in facts:
+        for fact in corpus.facts_for(subject_id):
             if collector.name in fact.platforms:
                 records.append(
                     RawRecord(

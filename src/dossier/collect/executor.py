@@ -1,9 +1,10 @@
-"""Bounded-parallel collector fan-out.
+"""Collector fan-out: corpus lookups in-process, HTTP calls bounded-parallel.
 
-One query goes out to every routed collector at once, capped by
-``max_parallel``.  Each collector gets its own timeout and its own failure:
-a crash or hang in one never disturbs the others, and the caller always
-gets exactly one outcome per collector, sorted by name.
+One query goes out to every routed collector.  Corpus-backed collectors
+answer on the calling thread; HTTP collectors go out at once, capped by
+``max_parallel``, each with its own timeout.  Each collector gets its own
+failure: a crash or hang in one never disturbs the others, and the caller
+always gets exactly one outcome per collector, sorted by name.
 """
 
 from __future__ import annotations
@@ -36,6 +37,19 @@ def make_fetcher(corpus: Corpus, timeout_ms: int = 5000) -> Fetcher:
     return fetch
 
 
+def _run(
+    descriptor: CollectorDescriptor, query: QueryInput, fetch: Fetcher, started: float
+) -> CollectorOutcome:
+    """One collector's outcome; an exception from its fetch becomes an ERROR."""
+    status, records, detail = OutcomeStatus.SUCCESS, (), None
+    try:
+        records = tuple(fetch(descriptor, query))
+    except Exception as exc:  # failure is data; nothing may escape
+        status, detail = OutcomeStatus.ERROR, f"{type(exc).__name__}: {exc}"
+    elapsed_ms = (perf_counter() - started) * 1000.0
+    return CollectorOutcome(descriptor.name, status, records, detail, elapsed_ms)
+
+
 def execute_stack(
     query: QueryInput,
     collectors: Sequence[CollectorDescriptor],
@@ -44,34 +58,34 @@ def execute_stack(
 ) -> list[CollectorOutcome]:
     """Run every collector against *query* and return one outcome per collector.
 
-    Each collector runs on its own thread, at most ``max_parallel`` at once,
-    started in name order.  Outcomes come back sorted by collector name
-    regardless of completion order.  A collector still running
-    ``per_collector_timeout_ms`` after it started is reported as a timeout
-    and abandoned: its fetch keeps running on its daemon thread, which a
-    fetch with a socket timeout of its own (like the HTTP adapter) ends, but
-    its slot is freed at once for the next collector and its late result is
-    discarded.
+    Corpus-backed collectors run first, one after another in name order, on
+    the calling thread: an in-memory lookup waits on nothing, so it gets no
+    thread and no timeout.  Every other collector runs on its own thread, at
+    most ``max_parallel`` at once, started in name order.  Outcomes come
+    back sorted by collector name regardless of completion order.  A
+    threaded collector still running ``per_collector_timeout_ms`` after it
+    started is reported as a timeout and abandoned: its fetch keeps running
+    on its daemon thread, which a fetch with a socket timeout of its own
+    (like the HTTP adapter) ends, but its slot is freed at once for the next
+    collector and its late result is discarded.
     """
     if not collectors:
         raise ValueError("execute_stack needs at least one collector")
     config = config or ExecutionConfig()
     timeout_ms = config.per_collector_timeout_ms
     timeout_s = timeout_ms / 1000.0
-    waiting = deque(enumerate(sorted(collectors, key=lambda d: d.name)))
+    ordered = sorted(collectors, key=lambda d: d.name)
+    outcomes = [
+        _run(descriptor, query, fetch, perf_counter())
+        for descriptor in ordered
+        if descriptor.backend is Backend.CORPUS
+    ]
+    waiting = deque(enumerate(d for d in ordered if d.backend is not Backend.CORPUS))
     running: dict[int, tuple[str, float]] = {}  # index -> (name, start time)
     finished: queue.SimpleQueue = queue.SimpleQueue()
-    outcomes = []
 
     def target(index: int, descriptor: CollectorDescriptor, started: float) -> None:
-        status, records, detail = OutcomeStatus.SUCCESS, (), None
-        try:
-            records = tuple(fetch(descriptor, query))
-        except Exception as exc:  # failure is data; nothing may escape
-            status, detail = OutcomeStatus.ERROR, f"{type(exc).__name__}: {exc}"
-        elapsed_ms = (perf_counter() - started) * 1000.0
-        outcome = CollectorOutcome(descriptor.name, status, records, detail, elapsed_ms)
-        finished.put((index, outcome))
+        finished.put((index, _run(descriptor, query, fetch, started)))
 
     while waiting or running:
         while waiting and len(running) < config.max_parallel:

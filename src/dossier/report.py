@@ -11,8 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, is_dataclass
+from typing import Iterable, Optional, Sequence, Tuple, get_args, get_origin, get_type_hints
 
 from .aggregate import CandidateProfile, EvidenceRecord
 from .collect.records import CollectorOutcome, OutcomeStatus
@@ -189,18 +189,36 @@ class Report:
         return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
 
-def _section_from_dict(section: dict) -> ReportSection:
-    facts = tuple(
-        RenderedFact(**{**fact, "sources": tuple(fact["sources"])}) for fact in section["facts"]
-    )
-    return ReportSection(**{**section, "facts": facts})
+# JSON value types a scalar report field accepts.  A bool is neither an int
+# nor a float here, although Python says it is both.
+_SCALAR_TYPES = {str: str, Optional[str]: (str, type(None)), int: int, float: (int, float)}
+
+
+def _decode(hint, value, where: str):
+    """*value*, a parsed JSON value, as the report type *hint* (a report
+    dataclass, a tuple of one, or a scalar), or a :class:`ReportParseError`."""
+    if is_dataclass(hint):
+        hints = get_type_hints(hint)
+        if not isinstance(value, dict) or set(value) != set(hints):
+            raise ReportParseError(f"{where} must be an object with keys {sorted(hints)}")
+        return hint(**{key: _decode(hints[key], value[key], f"{where}.{key}") for key in hints})
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ReportParseError(f"{where} must be a list")
+        item_hint, _ = get_args(hint)
+        return tuple(_decode(item_hint, item, f"{where}[{i}]") for i, item in enumerate(value))
+    if isinstance(value, bool) or not isinstance(value, _SCALAR_TYPES[hint]):
+        raise ReportParseError(f"{where} has the wrong type: {value!r}")
+    return float(value) if hint is float else value
 
 
 def report_from_json(data: bytes | str) -> Report:
     """Parse a JSON rendering back into an equivalent :class:`Report`.
 
-    Every object must carry exactly its dataclass's fields: a missing or an
-    unexpected key is a :class:`ReportParseError`.
+    Every object must carry exactly its dataclass's fields, each of its
+    annotated type (an integer is accepted as a float): a missing or an
+    unexpected key, or a value of another type, is a
+    :class:`ReportParseError`.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -208,23 +226,12 @@ def report_from_json(data: bytes | str) -> Report:
         payload = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ReportParseError(f"not valid JSON: {exc}") from exc
-    try:
-        if payload["schema_version"] != SCHEMA_VERSION:
-            raise ReportParseError(
-                f"unsupported schema_version {payload['schema_version']!r}"
-            )
-        fields = {key: value for key, value in payload.items() if key != "schema_version"}
-        return Report(
-            **{
-                **fields,
-                "query": QueryEcho(**fields["query"]),
-                "candidate": CandidateSummary(**fields["candidate"]),
-                "sections": tuple(map(_section_from_dict, fields["sections"])),
-                "failures": tuple(CollectionFailure(**f) for f in fields["failures"]),
-            }
-        )
-    except (KeyError, TypeError) as exc:
-        raise ReportParseError(f"bad report structure: {exc}") from exc
+    if not isinstance(payload, dict) or "schema_version" not in payload:
+        raise ReportParseError("a report must be an object with a schema_version")
+    if _decode(int, payload["schema_version"], "report.schema_version") != SCHEMA_VERSION:
+        raise ReportParseError(f"unsupported schema_version {payload['schema_version']!r}")
+    fields = {key: value for key, value in payload.items() if key != "schema_version"}
+    return _decode(Report, fields, "report")
 
 
 def _merge_facts(records: Sequence[EvidenceRecord]) -> list[RenderedFact]:

@@ -2,16 +2,29 @@
 
 Nothing here shares code paths with the package: clustering is done by
 explicit pairwise edges plus breadth-first components instead of union-find,
-and text similarity is re-derived from scratch.  If the package and these
-oracles ever disagree, the package is wrong (or the contract changed).
+text similarity is re-derived from scratch, and corpus matching is a linear
+scan over every subject instead of an index.  The one exception is the
+identity rule itself, ``inputs.canonical_identifier``, which the corpus scan
+calls because it defines what "the same identifier" means.  If the package
+and these oracles ever disagree, the package is wrong (or the contract
+changed).
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 import unicodedata
 from functools import lru_cache
+
+from dossier.collect.records import RawRecord
+from dossier.inputs import (
+    DEFAULT_REGION,
+    InputKind,
+    canonical_identifier,
+    hard_identifier_attribute,
+)
 
 HARD_ATTRS = {
     "email",
@@ -162,3 +175,64 @@ def oracle_best_cluster(clusters, query_kind, canonical, platform, reliabilities
         score = 3.0 * hard + 1.0 * name + 0.5 * ratio
         scored.append((-score, -visibilities[cluster_id], cluster_id))
     return min(scored)[2]
+
+
+# The host of a lowercased URL: an optional "scheme://" and "userinfo@" are
+# skipped, and the host ends at a port, path, query or fragment.
+_ORACLE_URL_HOST_RE = re.compile(r"(?:(?:[a-z][a-z0-9+.-]*:)?//)?(?:[^/?#@]*@)?([^/?#:]*)")
+
+
+def _on_domain(host: str, domain: str) -> bool:
+    """Whether *host* is *domain* or a subdomain of it, on a label boundary."""
+    host = host.rstrip(".")
+    return host == domain or host.endswith("." + domain)
+
+
+def _fact_on_domain(fact, domain: str) -> bool:
+    """Whether the host of an email or URL fact is on *domain*.  An email's
+    host is that of its canonical form, so a malformed email has none."""
+    if fact.attribute == "email":
+        email = canonical_identifier("email", fact.value, DEFAULT_REGION)
+        return email is not None and _on_domain(email.rpartition("@")[2], domain)
+    return _on_domain(_ORACLE_URL_HOST_RE.match(fact.value.strip().lower()).group(1), domain)
+
+
+def _subject_matches(facts, query) -> bool:
+    kind = query.kind
+    if kind in (InputKind.EMAIL, InputKind.PHONE, InputKind.SOCIAL_HANDLE):
+        attribute = hard_identifier_attribute(kind, query.platform)
+        return any(
+            fact.attribute == attribute
+            and canonical_identifier(attribute, fact.value, query.region) == query.canonical
+            for fact in facts
+        )
+    if kind in (InputKind.NAME, InputKind.KEYWORD):
+        return any(
+            fact.attribute in NAME_ATTRS and oracle_jaccard(query.canonical, fact.value) >= 0.5
+            for fact in facts
+        )
+    if kind is InputKind.DOMAIN:
+        return any(
+            fact.attribute in ("email", "url") and _fact_on_domain(fact, query.canonical)
+            for fact in facts
+        )
+    return False
+
+
+def oracle_corpus_collect(corpus, collector_name: str, query) -> list:
+    """What ``corpus_collect`` returns, by scanning every subject in id order:
+    for each matching subject, one provenance batch of the facts visible to
+    *collector_name*."""
+    records = []
+    for subject_id in corpus.subjects:
+        facts = corpus.facts_for(subject_id)
+        if not _subject_matches(facts, query):
+            continue
+        digest = hashlib.sha256(f"{collector_name}\x1f{subject_id}".encode("utf-8")).hexdigest()
+        locator = f"{collector_name}/{digest[:12]}"
+        records.extend(
+            RawRecord(fact.attribute, fact.value, fact.confidence, locator)
+            for fact in facts
+            if collector_name in fact.platforms
+        )
+    return records

@@ -1,10 +1,15 @@
 import json
 import random
+import sys
+import threading
+import time
+from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import dossier.collect.corpus as corpus_module
 from dossier.aggregate import normalize_records
 from dossier.collect.corpus import (
     Corpus,
@@ -22,6 +27,7 @@ from dossier.inputs import InputKind, Platform, canonical_identifier, classify_i
 from dossier.routing import builtin_matrix
 
 from conftest import fact, write_jsonl
+from oracles import oracle_corpus_collect
 
 
 def small_rows():
@@ -196,6 +202,18 @@ class TestCollection:
         records = corpus_collect(corpus, FakeCollector("maltego"), classify_input("corp.example"))
         assert [r.value for r in records] == ["ann@mail.corp.example"]
 
+    def test_domain_query_reads_the_host_of_the_kept_email(self, tmp_path):
+        # The aggregator keeps "ann@ample .com" as ann@ample.com and drops the
+        # two malformed emails, so only the first is on ample.com.
+        rows = [
+            fact("s-space", "email", "Ann@ample .com", ["maltego"]),
+            fact("s-no-at", "email", "ample.com", ["maltego"]),
+            fact("s-two-at", "email", "ann@@ample.com", ["maltego"]),
+        ]
+        corpus = load_corpus(write_jsonl(tmp_path / "c.jsonl", rows))
+        records = corpus_collect(corpus, FakeCollector("maltego"), classify_input("ample.com"))
+        assert [r.value for r in records] == ["Ann@ample .com"]
+
     def test_prefixed_stored_handle_found_by_the_same_string(self, tmp_path):
         rows = [
             fact("s-h", "social_handle_twitter", "twitter:Jack", ["maltego"]),
@@ -295,11 +313,22 @@ _identifier_facts = st.one_of(
 )
 
 
-@given(_identifier_facts, st.sampled_from(["IN", "US", "GB", "ZZ"]))
-def test_matcher_aggregator_and_classifier_agree_on_identifiers(identifier_fact, region):
+def _label_suffixes(host: str) -> list[str]:
+    labels = host.split(".")
+    return [".".join(labels[start:]) for start in range(len(labels))]
+
+
+def _on_domain(host: str, domain: str) -> bool:
+    return domain in _label_suffixes(host.rstrip("."))
+
+
+@given(_identifier_facts, st.sampled_from(["IN", "US", "GB", "ZZ"]), st.data())
+def test_matcher_aggregator_and_classifier_agree_on_identifiers(identifier_fact, region, data):
     """The corpus matcher accepts the query classified from a fact's value
     exactly when the fact's canonical identifier equals the query's canonical
-    form, and the aggregator keeps that fact as exactly that canonical form."""
+    form, and the aggregator keeps that fact as exactly that canonical form.
+    A domain query finds an email fact exactly when the aggregator keeps the
+    email and its host is the domain or a subdomain of it."""
     attribute, value = identifier_fact
     canonical = canonical_identifier(attribute, value, region)
     kept = normalize_records(
@@ -314,11 +343,270 @@ def test_matcher_aggregator_and_classifier_agree_on_identifiers(identifier_fact,
     )
     assert [r.value for r in kept] == ([] if canonical is None else [canonical])
 
+    corpus = Corpus([CorpusFact("s", attribute, value, frozenset({"c"}), 1.0)])
+    if attribute == "email":
+        host = value.rpartition("@")[2]
+        domain = data.draw(
+            st.sampled_from(_label_suffixes(host) + _label_suffixes("".join(host.split())))
+            | st.sampled_from(["ab.cx", "xyz.ab"]),
+            label="domain",
+        )
+        try:
+            domain_query = classify_input(domain, InputKind.DOMAIN, default_region=region)
+        except DossierError:
+            domain_query = None
+        if domain_query is not None:
+            found = bool(corpus_collect(corpus, FakeCollector("c"), domain_query))
+            assert found == (
+                canonical is not None
+                and _on_domain(canonical.rpartition("@")[2], domain_query.canonical)
+            )
+
     kind, platform = _HINTS[attribute]
     try:
         query = classify_input(value, kind, platform, default_region=region)
     except DossierError:
         return
-    corpus = Corpus([CorpusFact("s", attribute, value, frozenset({"c"}), 1.0)])
     accepted = bool(corpus_collect(corpus, FakeCollector("c"), query))
     assert accepted == (canonical == query.canonical)
+
+
+@given(
+    st.sampled_from(["https://", "http://", "//", "", "ftp://"]),
+    st.sampled_from(["", "user@", "u:p@"]),
+    st.lists(st.sampled_from(["ample", "ex", "com", "blog", "x-y", "ab"]), min_size=1, max_size=4),
+    st.sampled_from(["", ".", ".."]),
+    st.sampled_from(["", ":8080"]),
+    st.sampled_from(["", "/x", "/a@b.com", "?q=c.com", "#f"]),
+    st.booleans(),
+    st.data(),
+)
+def test_matcher_and_classifier_agree_on_url_hosts(
+    scheme, userinfo, labels, trailing, port, path, upper, data
+):
+    """A domain query finds a URL fact exactly when the URL's host, without
+    its trailing dots and in any case, is the domain or a subdomain of it."""
+    host = ".".join(labels)
+    value = f"{scheme}{userinfo}{host.upper() if upper else host}{trailing}{port}{path}"
+    domain = data.draw(
+        st.sampled_from(_label_suffixes(host) + ["ample.com", "x.ample.com", "b.com", "c.com"]),
+        label="domain",
+    )
+    try:
+        query = classify_input(domain, InputKind.DOMAIN)
+    except DossierError:
+        return
+    corpus = Corpus([CorpusFact("s", "url", value, frozenset({"c"}), 1.0)])
+    found = bool(corpus_collect(corpus, FakeCollector("c"), query))
+    assert found == _on_domain(host, query.canonical)
+
+
+# Corpus facts and queries that reach every matching rule and its edges:
+# national and E.164 phones read under two regions; handles with and without
+# their own or another platform's prefix; names at Jaccard exactly 0.5
+# ("Smith" / "Ann Smith"), single tokens, no tokens at all and diacritics;
+# hosts with userinfo, a port, a trailing dot or inner whitespace, and
+# ample.com against example.com.
+_PHONES = [
+    "098765 43210", "+91 98765 43210", "98765-43210", "+1 (987) 654-3210",
+    "987 654 3210", "+919876543210", "12345",
+]
+_HANDLES = [
+    "Jack", "@jack", "twitter:Jack", "Twitter:@jack", "facebook:jack", "instagram:Jack",
+    "ja ck", "j@ck",
+]
+_NAMES = [
+    "Smith", "Ann Smith", "ann", "Zoë Brook", "zoe brook", "José", "Jose Ann", "!!", "_",
+    "Ann-Smith Lee", "BROOK",
+]
+_HOSTS = [
+    "ample.com", "example.com", "blog.ample.com", "ample.com.", "example.com.evil.net",
+    "EXAMPLE.com", "mail.corp.example", "ample .com",
+]
+_DOMAINS = [
+    "ample.com", "example.com", "blog.ample.com", "ample.com.", "evil.net", "corp.example",
+    "mail.corp.example", "EXAMPLE.COM", "com",
+]
+_emails = st.builds(
+    "{}@{}".format, st.sampled_from(["ann", "Ann.Smith", " x", ""]), st.sampled_from(_HOSTS)
+) | st.sampled_from(["ample.com", "ann@@ample.com"])
+_urls = st.builds(
+    "{}{}{}{}{}".format,
+    st.sampled_from(["https://", "http://", "", "//", "ftp://"]),
+    st.sampled_from(["", "user@", "u:p@"]),
+    st.sampled_from(_HOSTS),
+    st.sampled_from(["", ":8080"]),
+    st.sampled_from(["", "/x", "/a@b", "?q=1", "#f"]),
+)
+_corpus_facts = st.one_of(
+    st.tuples(st.just("email"), _emails),
+    st.tuples(st.just("url"), _urls),
+    st.tuples(st.just("phone"), st.sampled_from(_PHONES)),
+    st.tuples(
+        st.sampled_from(["social_handle_twitter", "social_handle_facebook"]),
+        st.sampled_from(_HANDLES),
+    ),
+    st.tuples(st.sampled_from(["full_name", "alias"]), st.sampled_from(_NAMES)),
+    st.tuples(st.just("location"), st.sampled_from(_NAMES + _HOSTS)),
+)
+_corpora = st.lists(
+    st.tuples(
+        st.sampled_from(["s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8"]),
+        _corpus_facts,
+        st.sampled_from([frozenset({"c"}), frozenset({"c", "d"}), frozenset({"d"})]),
+    ),
+    max_size=16,
+).map(
+    lambda rows: Corpus(
+        CorpusFact(subject, attribute, value, platforms, 0.9)
+        for subject, (attribute, value), platforms in rows
+    )
+)
+_raw_queries = st.one_of(
+    st.tuples(st.just(InputKind.EMAIL), _emails, st.none()),
+    st.tuples(st.just(InputKind.PHONE), st.sampled_from(_PHONES), st.none()),
+    st.tuples(
+        st.just(InputKind.SOCIAL_HANDLE),
+        st.sampled_from(_HANDLES),
+        st.sampled_from([None, Platform.TWITTER, Platform.FACEBOOK]),
+    ),
+    st.tuples(
+        st.sampled_from([InputKind.NAME, InputKind.KEYWORD]), st.sampled_from(_NAMES), st.none()
+    ),
+    st.tuples(st.just(InputKind.DOMAIN), st.sampled_from(_DOMAINS), st.none()),
+)
+
+
+def _one_fact_per_subject(*facts):
+    return Corpus(
+        CorpusFact(f"s{i}", attribute, value, frozenset({"c"}), 0.9)
+        for i, (attribute, value) in enumerate(facts)
+    )
+
+
+@given(_corpora, st.lists(_raw_queries, min_size=1, max_size=4))
+@example(  # one national number, a different subscriber in each region
+    _one_fact_per_subject(("phone", "987 654 3210"), ("phone", "+91 98765 43210")),
+    [(InputKind.PHONE, "987 654 3210", None)],
+)
+@example(  # Jaccard exactly 0.5, and many subjects matched at once
+    _one_fact_per_subject(*[("full_name", "Ann Smith")] * 8, ("alias", "Smith")),
+    [(InputKind.KEYWORD, "Smith", None), (InputKind.NAME, "Ann Smith", None)],
+)
+@example(
+    _one_fact_per_subject(("url", "https://example.com/x"), ("email", "ann@blog.ample.com.")),
+    [(InputKind.DOMAIN, "ample.com", None), (InputKind.DOMAIN, "example.com", None)],
+)
+def test_indexed_collect_equals_the_linear_scan(corpus, raw_queries):
+    """For every query kind, read in two regions, the indexed corpus_collect
+    returns exactly the records of a scan over every subject, in the same
+    order, on a cold corpus and again once its indexes are built."""
+    queries = []
+    for kind, raw, platform in raw_queries:
+        for region in ("IN", "US"):
+            try:
+                queries.append(classify_input(raw, kind, platform, default_region=region))
+            except DossierError:
+                pass
+    assume(queries)
+    for query in queries + queries:
+        assert corpus_collect(corpus, FakeCollector("c"), query) == oracle_corpus_collect(
+            corpus, "c", query
+        )
+
+
+def _synthetic_corpus(subjects: int) -> Corpus:
+    facts = []
+    for i in range(subjects):
+        sid = f"s{i:05d}"
+        facts += [
+            CorpusFact(sid, "full_name", f"Given{i % 97} Surname{i}", frozenset({"c"}), 0.9),
+            CorpusFact(sid, "email", f"user{i}@host{i % 50}.example", frozenset({"c"}), 0.9),
+            CorpusFact(sid, "phone", f"0{9876500000 + i}", frozenset({"c"}), 0.9),
+            CorpusFact(sid, "social_handle_twitter", f"twitter:User{i}", frozenset({"c"}), 0.9),
+            CorpusFact(sid, "url", f"https://u{i}.host{i % 50}.example/p", frozenset({"c"}), 0.9),
+        ]
+    return Corpus(facts)
+
+
+def test_each_index_is_built_once_under_parallel_first_queries(monkeypatch):
+    corpus = _synthetic_corpus(200)
+    queries = [
+        classify_input("user3@host3.example"),
+        classify_input("09876500003"),
+        classify_input("twitter:user3"),
+        classify_input("Given3 Surname3"),
+        classify_input("host3.example"),
+    ]
+    expected = [oracle_corpus_collect(corpus, "c", q) for q in queries]
+    assert all(expected)
+
+    builds = Counter()
+    lock = threading.Lock()
+
+    def counting(family, build):
+        def wrapper(by_subject, *key):
+            with lock:
+                builds[(family, *key)] += 1
+            time.sleep(0.01)  # widen the window in which a second build could start
+            return build(by_subject, *key)
+
+        return wrapper
+
+    for family in ("identifier", "name", "host"):
+        name = f"_{family}_index"
+        monkeypatch.setattr(corpus_module, name, counting(family, getattr(corpus_module, name)))
+
+    barrier = threading.Barrier(8)
+    answers = {}
+
+    def client(offset):
+        barrier.wait(5)
+        order = [(offset + k) % len(queries) for k in range(len(queries))]
+        answers[offset] = {
+            k: corpus_collect(corpus, FakeCollector("c"), queries[k]) for k in order
+        }
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=client, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert builds == Counter(
+        {
+            ("identifier", "email", "IN"): 1,
+            ("identifier", "phone", "IN"): 1,
+            ("identifier", "social_handle_twitter", "IN"): 1,
+            ("name",): 1,
+            ("host",): 1,
+        }
+    )
+    assert sorted(answers) == list(range(8))
+    for per_thread in answers.values():
+        assert [per_thread[k] for k in range(len(queries))] == expected
+
+
+def test_a_warm_identifier_query_scans_no_corpus_fact(monkeypatch):
+    """Once the email index is built, another email query canonicalizes no
+    corpus value: a reintroduced per-query scan fails here."""
+    corpus = _synthetic_corpus(2000)
+    assert corpus_collect(corpus, FakeCollector("c"), classify_input("user1@host1.example"))
+
+    calls = 0
+    real = corpus_module.canonical_identifier
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(corpus_module, "canonical_identifier", counting)
+    records = corpus_collect(corpus, FakeCollector("c"), classify_input("USER1234@host34.example"))
+    assert calls == 0
+    assert {r.value for r in records} >= {"user1234@host34.example", "Given70 Surname1234"}

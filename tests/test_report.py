@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -347,6 +348,42 @@ class TestRender:
         del payload["sections"][0]["facts"][0]["sources"]
         with pytest.raises(ReportParseError):
             report_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("candidate", "visibility"), "high"),
+            (("candidate", "match"), True),
+            (("candidate", "cluster_size"), 5.0),
+            (("candidate", "rejected_candidates"), False),
+            (("query", "canonical"), None),
+            (("query", "platform"), 7),
+            (("template",), ["employee"]),
+            (("sections", 0, "facts", 0, "sources"), "maltego"),
+            (("sections", 0, "facts", 0, "sources", 0), 1),
+            (("sections", 0, "facts", 0, "confidence"), "0.9"),
+            (("failures",), {}),
+            (("failures", 0, "detail"), 0),
+            (("schema_version",), True),
+            (("schema_version",), 1.0),
+        ],
+    )
+    def test_json_rejects_a_value_of_the_wrong_type(self, path, value):
+        payload = json.loads(render(self.small_report(), "json"))
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(ReportParseError):
+            report_from_json(json.dumps(payload))
+
+    def test_json_accepts_an_integer_float(self):
+        report = self.small_report()
+        payload = json.loads(render(report, "json"))
+        payload["candidate"]["match"] = 3
+        parsed = report_from_json(json.dumps(payload))
+        assert parsed == replace(report, candidate=replace(report.candidate, match=3.0))
+        assert isinstance(parsed.candidate.match, float)
 
     def test_csv_exact_bytes(self):
         report = self.small_report()

@@ -11,12 +11,23 @@ from dossier.collect.records import (
 )
 from dossier.collect.executor import execute_stack
 from dossier.inputs import InputKind, QueryInput
-from dossier.routing import CollectorDescriptor, accepts
+from dossier.routing import Backend, CollectorDescriptor, HttpCollectorConfig, accepts
 
 QUERY = QueryInput(InputKind.KEYWORD, "probe", "probe")
 
 
 def descriptor(name: str) -> CollectorDescriptor:
+    """An HTTP-backed collector: it runs on an executor thread under a timeout.
+    The fetch functions below never touch its endpoint."""
+    return CollectorDescriptor(
+        name=name,
+        accepts=accepts("keyword"),
+        backend=Backend.HTTP,
+        http=HttpCollectorConfig(base="http://unused.invalid"),
+    )
+
+
+def corpus_descriptor(name: str) -> CollectorDescriptor:
     return CollectorDescriptor(name=name, accepts=accepts("keyword"))
 
 
@@ -211,3 +222,82 @@ class TestExecuteStack:
 
         execute_stack(QUERY, [descriptor("only")], fetch)
         assert seen == [("only", "probe")]
+
+
+class TestCorpusCollectorsRunInline:
+    def test_an_all_corpus_stack_starts_no_thread(self, monkeypatch):
+        started = []
+        real_start = threading.Thread.start
+
+        def start(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        outcomes = execute_stack(
+            QUERY,
+            [corpus_descriptor(n) for n in ("b", "a", "c")],
+            lambda d, q: [record(d.name)],
+        )
+        assert [o.status for o in outcomes] == [OutcomeStatus.SUCCESS] * 3
+        assert started == []
+
+    def test_fetches_run_on_the_calling_thread_in_name_order(self):
+        calls = []
+
+        def fetch(d, q):
+            calls.append((d.name, threading.current_thread()))
+            return [record(d.name)]
+
+        outcomes = execute_stack(
+            QUERY, [corpus_descriptor(n) for n in ("zeta", "alpha", "mid")], fetch
+        )
+        assert calls == [(n, threading.current_thread()) for n in ("alpha", "mid", "zeta")]
+        assert [o.collector for o in outcomes] == ["alpha", "mid", "zeta"]
+        assert all(o.elapsed_ms >= 0 for o in outcomes)
+
+    def test_a_raising_fetch_becomes_an_error_outcome(self):
+        def fetch(d, q):
+            if d.name == "bad":
+                raise ValueError("boom")
+            return [record(d.name)]
+
+        outcomes = execute_stack(
+            QUERY, [corpus_descriptor("bad"), corpus_descriptor("good")], fetch
+        )
+        by_name = {o.collector: o for o in outcomes}
+        assert by_name["bad"].status is OutcomeStatus.ERROR
+        assert by_name["bad"].error_detail == "ValueError: boom"
+        assert by_name["bad"].records == ()
+        assert by_name["good"].status is OutcomeStatus.SUCCESS
+        assert by_name["good"].records == (record("good"),)
+
+    def test_mixed_stack_times_out_a_hung_http_collector(self):
+        release = threading.Event()
+
+        def fetch(d, q):
+            if d.name == "b_hung":
+                release.wait(5)
+            return [record(d.name)]
+
+        try:
+            outcomes = execute_stack(
+                QUERY,
+                [
+                    corpus_descriptor("d_corpus"),
+                    descriptor("b_hung"),
+                    descriptor("c_http"),
+                    corpus_descriptor("a_corpus"),
+                ],
+                fetch,
+                ExecutionConfig(per_collector_timeout_ms=80, max_parallel=1),
+            )
+        finally:
+            release.set()
+        assert [(o.collector, o.status) for o in outcomes] == [
+            ("a_corpus", OutcomeStatus.SUCCESS),
+            ("b_hung", OutcomeStatus.TIMEOUT),
+            ("c_http", OutcomeStatus.SUCCESS),
+            ("d_corpus", OutcomeStatus.SUCCESS),
+        ]
+        assert outcomes[1].error_detail == "no response within 80 ms"
