@@ -48,7 +48,6 @@ from .report import (
     ReportTemplate,
     build_report,
     render,
-    report_from_json,
     section_plan,
 )
 from .routing import (
@@ -102,7 +101,6 @@ __all__ = [
     "normalize_records",
     "rank_candidates",
     "render",
-    "report_from_json",
     "resolve_candidates",
     "route",
     "section_plan",

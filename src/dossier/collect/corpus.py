@@ -124,8 +124,10 @@ class Corpus:
             attribute = hard_identifier_attribute(kind, query.platform)
             if attribute is None:
                 return []
+            # Only a phone's canonical form depends on the region.
+            region = query.region if attribute == "phone" else None
             index = self._index(
-                ("identifier", attribute, query.region),
+                ("identifier", attribute, region),
                 lambda: _identifier_index(by_subject, attribute, query.region),
             )
             return index.get(query.canonical, [])

@@ -11,8 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, is_dataclass
-from typing import Iterable, Optional, Sequence, Tuple, get_args, get_origin, get_type_hints
+from dataclasses import asdict, dataclass
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .aggregate import CandidateProfile, EvidenceRecord
 from .collect.records import CollectorOutcome, OutcomeStatus
@@ -28,10 +28,6 @@ SCHEMA_VERSION = 1
 
 class UnknownTemplateError(DossierError):
     """No section plan exists under the requested template name."""
-
-
-class ReportParseError(DossierError):
-    """A JSON report document cannot be parsed back into a Report."""
 
 
 @dataclass(frozen=True)
@@ -189,51 +185,6 @@ class Report:
         return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
 
-# JSON value types a scalar report field accepts.  A bool is neither an int
-# nor a float here, although Python says it is both.
-_SCALAR_TYPES = {str: str, Optional[str]: (str, type(None)), int: int, float: (int, float)}
-
-
-def _decode(hint, value, where: str):
-    """*value*, a parsed JSON value, as the report type *hint* (a report
-    dataclass, a tuple of one, or a scalar), or a :class:`ReportParseError`."""
-    if is_dataclass(hint):
-        hints = get_type_hints(hint)
-        if not isinstance(value, dict) or set(value) != set(hints):
-            raise ReportParseError(f"{where} must be an object with keys {sorted(hints)}")
-        return hint(**{key: _decode(hints[key], value[key], f"{where}.{key}") for key in hints})
-    if get_origin(hint) is tuple:
-        if not isinstance(value, list):
-            raise ReportParseError(f"{where} must be a list")
-        item_hint, _ = get_args(hint)
-        return tuple(_decode(item_hint, item, f"{where}[{i}]") for i, item in enumerate(value))
-    if isinstance(value, bool) or not isinstance(value, _SCALAR_TYPES[hint]):
-        raise ReportParseError(f"{where} has the wrong type: {value!r}")
-    return float(value) if hint is float else value
-
-
-def report_from_json(data: bytes | str) -> Report:
-    """Parse a JSON rendering back into an equivalent :class:`Report`.
-
-    Every object must carry exactly its dataclass's fields, each of its
-    annotated type (an integer is accepted as a float): a missing or an
-    unexpected key, or a value of another type, is a
-    :class:`ReportParseError`.
-    """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        payload = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ReportParseError(f"not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "schema_version" not in payload:
-        raise ReportParseError("a report must be an object with a schema_version")
-    if _decode(int, payload["schema_version"], "report.schema_version") != SCHEMA_VERSION:
-        raise ReportParseError(f"unsupported schema_version {payload['schema_version']!r}")
-    fields = {key: value for key, value in payload.items() if key != "schema_version"}
-    return _decode(Report, fields, "report")
-
-
 def _merge_facts(records: Sequence[EvidenceRecord]) -> list[RenderedFact]:
     merged: dict[Tuple[str, str], dict] = {}
     for record in records:
@@ -376,7 +327,7 @@ def render(report: Report, fmt: str) -> bytes:
     """Render to ``md``, ``json``, or ``csv`` as UTF-8 bytes with LF endings.
 
     Identical reports render to identical bytes; JSON uses sorted keys and
-    round-trips through :func:`report_from_json`.
+    carries ``schema_version``.
     """
     if fmt == "md":
         text = _render_markdown(report)

@@ -63,6 +63,11 @@ class HttpCollectorConfig:
             object.__setattr__(
                 self, "response_mapping", tuple(tuple(p) for p in self.response_mapping)
             )
+        for name in ("base", "method", "query_template"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string")
+        if self.credential_env is not None and not isinstance(self.credential_env, str):
+            raise ValueError("credential_env must be a string")
         if self.method.upper() not in ("GET", "POST"):
             raise ValueError(f"unsupported HTTP method: {self.method!r}")
         object.__setattr__(self, "method", self.method.upper())
@@ -243,11 +248,14 @@ def _descriptor_from_entry(entry: object, path: Path) -> CollectorDescriptor:
             raise OverlayError(f"{path}: collector {name!r}: {exc}") from exc
         if not http_config.base:
             raise OverlayError(f"{path}: collector {name!r} needs a base URL")
+    reliability = entry.get("reliability", 1.0)
+    if isinstance(reliability, bool) or not isinstance(reliability, (int, float)):
+        raise OverlayError(f"{path}: collector {name!r}: reliability must be a number")
     try:
         return CollectorDescriptor(
             name=name,
             accepts=accept_set,
-            reliability=float(entry.get("reliability", 1.0)),
+            reliability=float(reliability),
             backend=backend,
             http=http_config,
         )
@@ -277,7 +285,7 @@ def load_overlay(registry: Registry, path: str | Path) -> Registry:
 
     result = registry
     disables = payload.get("disable", [])
-    if not isinstance(disables, list):
+    if not isinstance(disables, list) or not all(isinstance(n, str) for n in disables):
         raise OverlayError(f"{path}: disable must be a list of names")
     for name in disables:
         try:

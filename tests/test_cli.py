@@ -235,6 +235,32 @@ class TestExitCodes:
         assert code == EXIT_FILE_ERROR
         assert "registry error" in capsys.readouterr().err
 
+    def test_mistyped_overlay_exits_5_without_a_report(
+        self, john_smith_corpus, tmp_path, capsys
+    ):
+        overlay = tmp_path / "overlay.json"
+        entry = {
+            "name": "x",
+            "accepts": ["email"],
+            "backend": "http",
+            "http": {"base": "http://127.0.0.1:1", "method": 5},
+        }
+        overlay.write_text(json.dumps({"add": [entry]}))
+        out = tmp_path / "r.md"
+        code = main(
+            run_args(
+                john_smith_corpus,
+                out,
+                "--input",
+                "john.smith@beta.example",
+                "--registry",
+                str(overlay),
+            )
+        )
+        assert code == EXIT_FILE_ERROR
+        assert "method must be a string" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAtomicWrites:
     def test_failed_run_preserves_existing_report(self, john_smith_corpus, tmp_path, capsys):

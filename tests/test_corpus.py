@@ -592,6 +592,30 @@ def test_each_index_is_built_once_under_parallel_first_queries(monkeypatch):
         assert [per_thread[k] for k in range(len(queries))] == expected
 
 
+def test_only_phone_indexes_are_built_per_region(monkeypatch):
+    """Email and handle canonical forms do not depend on the region, so one
+    index serves every region; a phone index is built for each region."""
+    corpus = _synthetic_corpus(50)
+    builds = Counter()
+    real = corpus_module._identifier_index
+
+    def counting(by_subject, attribute, region):
+        builds[attribute] += 1
+        return real(by_subject, attribute, region)
+
+    monkeypatch.setattr(corpus_module, "_identifier_index", counting)
+    queries = [
+        classify_input(raw, default_region=region)
+        for region in ("IN", "US", "GB")
+        for raw in ("user3@host3.example", "twitter:user3")
+    ] + [classify_input("+919876500003", default_region=region) for region in ("IN", "US")]
+    for query in queries:
+        assert corpus_collect(corpus, FakeCollector("c"), query) == oracle_corpus_collect(
+            corpus, "c", query
+        )
+    assert builds == Counter({"email": 1, "social_handle_twitter": 1, "phone": 2})
+
+
 def test_a_warm_identifier_query_scans_no_corpus_fact(monkeypatch):
     """Once the email index is built, another email query canonicalizes no
     corpus value: a reintroduced per-query scan fails here."""

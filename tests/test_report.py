@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -11,12 +10,10 @@ from dossier.report import (
     REPORT_FORMATS,
     TEMPLATE_NAMES,
     UNMAPPED_SECTION,
-    ReportParseError,
     ReportTemplate,
     UnknownTemplateError,
     build_report,
     render,
-    report_from_json,
     section_plan,
 )
 
@@ -234,11 +231,10 @@ class TestRender:
         text = render(report, "md").decode("utf-8")
         assert "- Query: kind=social_handle, platform=twitter, canonical=probe\n" in text
 
-    def test_json_round_trips(self):
+    def test_json_document_shape(self):
         report = self.small_report()
         data = render(report, "json")
         assert data.endswith(b"\n")
-        assert report_from_json(data) == report
         payload = json.loads(data)
         assert payload["schema_version"] == 1
         assert payload["query"]["canonical"] == "nora@q.example"
@@ -332,58 +328,6 @@ class TestRender:
 }
 """
         assert render(report, "json").decode("utf-8") == expected
-
-    def test_json_rejects_garbage(self):
-        with pytest.raises(ReportParseError):
-            report_from_json(b"not json")
-        with pytest.raises(ReportParseError):
-            report_from_json(json.dumps({"schema_version": 99}))
-        with pytest.raises(ReportParseError):
-            report_from_json(json.dumps({"schema_version": 1}))
-        payload = json.loads(render(self.small_report(), "json"))
-        payload["query"]["extra"] = "unexpected"
-        with pytest.raises(ReportParseError):
-            report_from_json(json.dumps(payload))
-        payload = json.loads(render(self.small_report(), "json"))
-        del payload["sections"][0]["facts"][0]["sources"]
-        with pytest.raises(ReportParseError):
-            report_from_json(json.dumps(payload))
-
-    @pytest.mark.parametrize(
-        "path, value",
-        [
-            (("candidate", "visibility"), "high"),
-            (("candidate", "match"), True),
-            (("candidate", "cluster_size"), 5.0),
-            (("candidate", "rejected_candidates"), False),
-            (("query", "canonical"), None),
-            (("query", "platform"), 7),
-            (("template",), ["employee"]),
-            (("sections", 0, "facts", 0, "sources"), "maltego"),
-            (("sections", 0, "facts", 0, "sources", 0), 1),
-            (("sections", 0, "facts", 0, "confidence"), "0.9"),
-            (("failures",), {}),
-            (("failures", 0, "detail"), 0),
-            (("schema_version",), True),
-            (("schema_version",), 1.0),
-        ],
-    )
-    def test_json_rejects_a_value_of_the_wrong_type(self, path, value):
-        payload = json.loads(render(self.small_report(), "json"))
-        parent = payload
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
-        with pytest.raises(ReportParseError):
-            report_from_json(json.dumps(payload))
-
-    def test_json_accepts_an_integer_float(self):
-        report = self.small_report()
-        payload = json.loads(render(report, "json"))
-        payload["candidate"]["match"] = 3
-        parsed = report_from_json(json.dumps(payload))
-        assert parsed == replace(report, candidate=replace(report.candidate, match=3.0))
-        assert isinstance(parsed.candidate.match, float)
 
     def test_csv_exact_bytes(self):
         report = self.small_report()

@@ -235,6 +235,15 @@ class TestOverlay:
             {"add": [{"name": "x", "accepts": ["email"], "reliability": 2.0}]},
             {"add": [{"name": "x", "accepts": ["email"], "surprise": 1}]},
             {"add": [{"name": "pipl", "accepts": ["email"]}]},
+            {"disable": [["pipl"]]},
+            {"add": [{"name": "x", "accepts": ["email"], "backend": "http",
+                      "http": {"base": "http://h", "method": 5}}]},
+            {"add": [{"name": "x", "accepts": ["email"], "reliability": True}]},
+            {"add": [{"name": "x", "accepts": ["email"], "reliability": "0.5"}]},
+            {"add": [{"name": "x", "accepts": ["email"], "backend": "http",
+                      "http": {"base": 5}}]},
+            {"add": [{"name": "x", "accepts": ["email"], "backend": "http",
+                      "http": {"base": "http://h", "credential_env": 5}}]},
         ],
     )
     def test_malformed_overlays_rejected(self, registry, tmp_path, payload):
