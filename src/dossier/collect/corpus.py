@@ -30,6 +30,9 @@ from ..vocab import ATTRIBUTE_KEYS, NAME_ATTRIBUTES
 from .records import RawRecord
 
 _CORPUS_FIELDS = frozenset({"subject_id", "attribute", "value", "platforms", "confidence"})
+# Each attribute key maps to the vocabulary's own string, so facts share it.
+_ATTRIBUTES = {key: key for key in ATTRIBUTE_KEYS}
+_PLATFORMS_MESSAGE = "platforms must be a non-empty list of names"
 
 # The host of a lowercased URL: an optional "scheme://" and "userinfo@" are
 # skipped, and the host ends at a port, path, query or fragment.
@@ -61,7 +64,7 @@ class UnknownAttributeError(CorpusError):
         self.key = key
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorpusFact:
     """One subject attribute plus the collector names that may return it."""
 
@@ -215,14 +218,19 @@ def _host_index(by_subject: Mapping[str, Tuple[CorpusFact, ...]]) -> dict[str, l
     return index
 
 
-def _fact_from_line(line_number: int, line: str) -> CorpusFact:
+def _fact_from_line(
+    line_number: int,
+    line: str,
+    platform_sets: dict[tuple, frozenset],
+    subject_ids: dict[str, str],
+) -> CorpusFact:
     try:
         payload = json.loads(line)
     except json.JSONDecodeError as exc:
         raise CorpusParseError(line_number, f"not valid JSON ({exc.msg})") from exc
     if not isinstance(payload, dict):
         raise CorpusParseError(line_number, "fact must be a JSON object")
-    if set(payload) != _CORPUS_FIELDS:
+    if payload.keys() != _CORPUS_FIELDS:
         missing = _CORPUS_FIELDS - set(payload)
         extra = set(payload) - _CORPUS_FIELDS
         raise CorpusParseError(
@@ -239,41 +247,60 @@ def _fact_from_line(line_number: int, line: str) -> CorpusFact:
         raise CorpusParseError(line_number, "subject_id must be a non-empty string")
     if not isinstance(attribute, str):
         raise CorpusParseError(line_number, "attribute must be a string")
-    if attribute not in ATTRIBUTE_KEYS:
+    shared_attribute = _ATTRIBUTES.get(attribute)
+    if shared_attribute is None:
         raise UnknownAttributeError(line_number, attribute)
     if not isinstance(value, str):
         raise CorpusParseError(line_number, "value must be a string")
-    if (
-        not isinstance(platforms, list)
-        or not platforms
-        or not all(isinstance(p, str) and p for p in platforms)
-    ):
-        raise CorpusParseError(line_number, "platforms must be a non-empty list of names")
+    if not isinstance(platforms, list):
+        raise CorpusParseError(line_number, _PLATFORMS_MESSAGE)
+    key = tuple(platforms)
+    try:
+        platform_set = platform_sets.get(key)
+    except TypeError as exc:  # a list or object entry, which is no name either
+        raise CorpusParseError(line_number, _PLATFORMS_MESSAGE) from exc
+    if platform_set is None:
+        # Only a list of names is ever cached, so a hit is already valid.
+        if not platforms or not all(isinstance(p, str) and p for p in platforms):
+            raise CorpusParseError(line_number, _PLATFORMS_MESSAGE)
+        platform_set = platform_sets[key] = frozenset(platforms)
     if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
         raise CorpusParseError(line_number, "confidence must be a number")
     if not 0.0 <= float(confidence) <= 1.0:
         raise CorpusParseError(line_number, "confidence must be within [0, 1]")
     return CorpusFact(
-        subject_id=subject_id,
-        attribute=attribute,
+        subject_id=subject_ids.setdefault(subject_id, subject_id),
+        attribute=shared_attribute,
         value=value,
-        platforms=frozenset(platforms),
+        platforms=platform_set,
         confidence=float(confidence),
     )
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    """Parse a line-delimited JSON corpus file.  Blank lines are skipped."""
+    """Parse a line-delimited JSON corpus file in one streaming pass.
+
+    A line ends in ``\\n`` or ``\\r\\n``; blank lines are skipped.  Repeated
+    values are shared, not copied: facts with equal platform lists hold one
+    frozenset, and facts of one subject hold one ``subject_id`` string.
+    """
     path = Path(path)
+    facts = []
+    platform_sets: dict[tuple, frozenset] = {}
+    subject_ids: dict[str, str] = {}
     try:
-        text = path.read_text(encoding="utf-8")
+        with path.open(encoding="utf-8") as stream:
+            for line_number, line in enumerate(stream, start=1):
+                if not line.strip():
+                    continue
+                # Without its newline, so a JSON error reads as for the bare line.
+                facts.append(
+                    _fact_from_line(line_number, line.rstrip("\n"), platform_sets, subject_ids)
+                )
     except OSError as exc:
         raise CorpusIOError(f"cannot read corpus {path}: {exc}") from exc
-    facts = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        facts.append(_fact_from_line(line_number, line))
+    except UnicodeDecodeError as exc:
+        raise CorpusIOError(f"cannot read corpus {path}: not UTF-8 ({exc.reason})") from exc
     return Corpus(facts)
 
 

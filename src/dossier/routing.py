@@ -207,6 +207,9 @@ def route(query: QueryInput, registry: Registry) -> list[CollectorDescriptor]:
     return [d for d in registry.values() if pair in d.accepts]
 
 
+_HTTP_KEYS = {"base", "method", "query_template", "response_mapping", "credential_env"}
+
+
 def _descriptor_from_entry(entry: object, path: Path) -> CollectorDescriptor:
     if not isinstance(entry, dict):
         raise OverlayError(f"{path}: each add entry must be an object")
@@ -236,6 +239,9 @@ def _descriptor_from_entry(entry: object, path: Path) -> CollectorDescriptor:
         raw_http = entry.get("http")
         if not isinstance(raw_http, dict):
             raise OverlayError(f"{path}: collector {name!r} needs an http object")
+        unknown = set(raw_http) - _HTTP_KEYS
+        if unknown:
+            raise OverlayError(f"{path}: collector {name!r}: unknown http keys {sorted(unknown)}")
         try:
             http_config = HttpCollectorConfig(
                 base=raw_http.get("base", ""),
@@ -248,6 +254,8 @@ def _descriptor_from_entry(entry: object, path: Path) -> CollectorDescriptor:
             raise OverlayError(f"{path}: collector {name!r}: {exc}") from exc
         if not http_config.base:
             raise OverlayError(f"{path}: collector {name!r} needs a base URL")
+    elif "http" in entry:
+        raise OverlayError(f"{path}: collector {name!r}: http needs \"backend\": \"http\"")
     reliability = entry.get("reliability", 1.0)
     if isinstance(reliability, bool) or not isinstance(reliability, (int, float)):
         raise OverlayError(f"{path}: collector {name!r}: reliability must be a number")

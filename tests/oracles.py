@@ -5,19 +5,29 @@ explicit pairwise edges plus breadth-first components instead of union-find,
 text similarity is re-derived from scratch, and corpus matching is a linear
 scan over every subject instead of an index.  The one exception is the
 identity rule itself, ``inputs.canonical_identifier``, which the corpus scan
-calls because it defines what "the same identifier" means.  If the package
-and these oracles ever disagree, the package is wrong (or the contract
-changed).
+calls because it defines what "the same identifier" means.  The corpus
+loader oracle builds the package's own ``CorpusFact``, ``Corpus`` and error
+types, so that results and errors compare equal.  If the package and these
+oracles ever disagree, the package is wrong (or the contract changed).
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import re
 import unicodedata
 from functools import lru_cache
+from pathlib import Path
 
+from dossier.collect.corpus import (
+    Corpus,
+    CorpusFact,
+    CorpusIOError,
+    CorpusParseError,
+    UnknownAttributeError,
+)
 from dossier.collect.records import RawRecord
 from dossier.inputs import (
     DEFAULT_REGION,
@@ -25,6 +35,7 @@ from dossier.inputs import (
     canonical_identifier,
     hard_identifier_attribute,
 )
+from dossier.vocab import ATTRIBUTE_KEYS
 
 HARD_ATTRS = {
     "email",
@@ -236,3 +247,71 @@ def oracle_corpus_collect(corpus, collector_name: str, query) -> list:
             if collector_name in fact.platforms
         )
     return records
+
+
+_ORACLE_CORPUS_FIELDS = frozenset({"subject_id", "attribute", "value", "platforms", "confidence"})
+
+
+def _oracle_fact_from_line(line_number: int, line: str) -> CorpusFact:
+    try:
+        payload = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise CorpusParseError(line_number, f"not valid JSON ({exc.msg})") from exc
+    if not isinstance(payload, dict):
+        raise CorpusParseError(line_number, "fact must be a JSON object")
+    if set(payload) != _ORACLE_CORPUS_FIELDS:
+        missing = _ORACLE_CORPUS_FIELDS - set(payload)
+        extra = set(payload) - _ORACLE_CORPUS_FIELDS
+        raise CorpusParseError(
+            line_number,
+            f"fact keys must be exactly {sorted(_ORACLE_CORPUS_FIELDS)} "
+            f"(missing {sorted(missing)}, unexpected {sorted(extra)})",
+        )
+    subject_id = payload["subject_id"]
+    attribute = payload["attribute"]
+    value = payload["value"]
+    platforms = payload["platforms"]
+    confidence = payload["confidence"]
+    if not isinstance(subject_id, str) or not subject_id:
+        raise CorpusParseError(line_number, "subject_id must be a non-empty string")
+    if not isinstance(attribute, str):
+        raise CorpusParseError(line_number, "attribute must be a string")
+    if attribute not in ATTRIBUTE_KEYS:
+        raise UnknownAttributeError(line_number, attribute)
+    if not isinstance(value, str):
+        raise CorpusParseError(line_number, "value must be a string")
+    if (
+        not isinstance(platforms, list)
+        or not platforms
+        or not all(isinstance(p, str) and p for p in platforms)
+    ):
+        raise CorpusParseError(line_number, "platforms must be a non-empty list of names")
+    if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
+        raise CorpusParseError(line_number, "confidence must be a number")
+    if not 0.0 <= float(confidence) <= 1.0:
+        raise CorpusParseError(line_number, "confidence must be within [0, 1]")
+    return CorpusFact(
+        subject_id=subject_id,
+        attribute=attribute,
+        value=value,
+        platforms=frozenset(platforms),
+        confidence=float(confidence),
+    )
+
+
+def oracle_load_corpus(path) -> Corpus:
+    """The corpus loader before streaming: the whole file read as text, split
+    with ``str.splitlines`` and validated line by line, with no value shared
+    between facts.  It still splits at U+2028, U+2029 and U+0085, and lets a
+    ``UnicodeDecodeError`` out, so it is a reference only for ASCII files."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CorpusIOError(f"cannot read corpus {path}: {exc}") from exc
+    facts = []
+    for line_number, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        facts.append(_oracle_fact_from_line(line_number, line))
+    return Corpus(facts)

@@ -219,6 +219,15 @@ class TestExitCodes:
         assert code == EXIT_FILE_ERROR
         assert "line 1" in capsys.readouterr().err
 
+    def test_non_utf8_corpus_exits_5_without_a_report(self, tmp_path, capsys):
+        corpus = tmp_path / "bad.jsonl"
+        corpus.write_bytes(b"\xff\n")
+        out = tmp_path / "r.md"
+        code = main(run_args(corpus, out, "--input", "Ann Lee"))
+        assert code == EXIT_FILE_ERROR
+        assert capsys.readouterr().err.startswith("corpus error: ")
+        assert not out.exists()
+
     def test_bad_overlay_exits_5(self, john_smith_corpus, tmp_path, capsys):
         overlay = tmp_path / "overlay.json"
         overlay.write_text("{broken")

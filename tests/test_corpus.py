@@ -13,6 +13,7 @@ import dossier.collect.corpus as corpus_module
 from dossier.aggregate import normalize_records
 from dossier.collect.corpus import (
     Corpus,
+    CorpusError,
     CorpusFact,
     CorpusIOError,
     CorpusParseError,
@@ -25,9 +26,10 @@ from dossier.collect.records import CollectorOutcome, OutcomeStatus, RawRecord
 from dossier.errors import DossierError
 from dossier.inputs import InputKind, Platform, canonical_identifier, classify_input
 from dossier.routing import builtin_matrix
+from dossier.vocab import ATTRIBUTE_KEYS
 
 from conftest import fact, write_jsonl
-from oracles import oracle_corpus_collect
+from oracles import oracle_corpus_collect, oracle_load_corpus
 
 
 def small_rows():
@@ -38,6 +40,28 @@ def small_rows():
         fact("s-a", "url", "https://corp.example/team/aldo", ["maltego", "vivial"]),
         fact("s-a", "email", "aldo@corp.example", ["maltego", "rapportive"]),
     ]
+
+
+# Ways to spoil one valid fact, each a CorpusParseError.  The last three
+# put entries in `platforms` that are no name, two of them unhashable.
+MUTATIONS = [
+    lambda r: r.pop("confidence"),
+    lambda r: r.update(extra="x"),
+    lambda r: r.update(subject_id=""),
+    lambda r: r.update(subject_id=7),
+    lambda r: r.update(attribute=3),
+    lambda r: r.update(value=1.78),
+    lambda r: r.update(platforms=[]),
+    lambda r: r.update(platforms="webmii"),
+    lambda r: r.update(platforms=["webmii", ""]),
+    lambda r: r.update(confidence="high"),
+    lambda r: r.update(confidence=True),
+    lambda r: r.update(confidence=1.2),
+    lambda r: r.update(confidence=-0.1),
+    lambda r: r.update(platforms=[["x"]]),
+    lambda r: r.update(platforms=[{}]),
+    lambda r: r.update(platforms=[1]),
+]
 
 
 class TestLoading:
@@ -87,24 +111,7 @@ class TestLoading:
         assert exc_info.value.key == "shoe_size"
         assert exc_info.value.line_number == 1
 
-    @pytest.mark.parametrize(
-        "mutate",
-        [
-            lambda r: r.pop("confidence"),
-            lambda r: r.update(extra="x"),
-            lambda r: r.update(subject_id=""),
-            lambda r: r.update(subject_id=7),
-            lambda r: r.update(attribute=3),
-            lambda r: r.update(value=1.78),
-            lambda r: r.update(platforms=[]),
-            lambda r: r.update(platforms="webmii"),
-            lambda r: r.update(platforms=["webmii", ""]),
-            lambda r: r.update(confidence="high"),
-            lambda r: r.update(confidence=True),
-            lambda r: r.update(confidence=1.2),
-            lambda r: r.update(confidence=-0.1),
-        ],
-    )
+    @pytest.mark.parametrize("mutate", MUTATIONS)
     def test_malformed_facts_rejected(self, tmp_path, mutate):
         row = fact("s", "full_name", "Some One", ["webmii"])
         mutate(row)
@@ -117,6 +124,126 @@ class TestLoading:
         path.write_text('["a", "list"]\n')
         with pytest.raises(CorpusParseError):
             load_corpus(path)
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+    def test_a_line_separator_inside_a_value_is_part_of_the_value(self, tmp_path, separator):
+        # JSON allows these raw inside a string, and json.dumps writes them
+        # raw with ensure_ascii=False; only "\n" or "\r\n" ends a line.
+        rows = [fact("s", "full_name", f"Ann{separator}Lee", ["webmii"]), small_rows()[0]]
+        path = tmp_path / "c.jsonl"
+        path.write_text(
+            "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows), encoding="utf-8"
+        )
+        corpus = load_corpus(path)
+        assert [f.value for f in corpus.facts_for("s")] == [f"Ann{separator}Lee"]
+        assert len(corpus) == 2
+
+    def test_crlf_file_loads_like_its_lf_twin(self, tmp_path):
+        lines = [json.dumps(row) for row in small_rows()]
+        lf = tmp_path / "lf.jsonl"
+        crlf = tmp_path / "crlf.jsonl"
+        lf.write_bytes(("\n".join(lines) + "\n").encode())
+        crlf.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        expected, loaded = load_corpus(lf), load_corpus(crlf)
+        assert expected.subjects == loaded.subjects
+        for subject in expected.subjects:
+            assert expected.facts_for(subject) == loaded.facts_for(subject)
+
+        broken = lines[:2] + ["", '{"subject_id": "s'] + lines[2:]
+        lf.write_bytes(("\n".join(broken) + "\n").encode())
+        crlf.write_bytes(("\r\n".join(broken) + "\r\n").encode())
+        errors = []
+        for path in (lf, crlf):
+            with pytest.raises(CorpusParseError) as exc_info:
+                load_corpus(path)
+            errors.append((exc_info.value.line_number, str(exc_info.value)))
+        message = "line 4: not valid JSON (Unterminated string starting at)"
+        assert errors[0] == errors[1] == (4, message)
+
+    def test_non_utf8_corpus_is_a_corpus_error(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(json.dumps(small_rows()[0]).encode() + b"\n\xff\n")
+        with pytest.raises(CorpusIOError, match="not UTF-8"):
+            load_corpus(path)
+
+    def test_repeated_values_are_shared(self, tmp_path):
+        rows = small_rows() + [
+            fact("s-b", "alias", "Bri", ["webmii", "maltego"]),
+            fact("s-a", "alias", "Al", ["webmii"]),
+        ]
+        corpus = load_corpus(write_jsonl(tmp_path / "c.jsonl", rows))
+        facts = [f for subject in corpus.subjects for f in corpus.facts_for(subject)]
+        shared = {}
+        for corpus_fact in facts:
+            for name in ("platforms", "attribute", "subject_id"):
+                value = getattr(corpus_fact, name)
+                shared.setdefault((name, value), set()).add(id(value))
+        assert all(len(ids) == 1 for ids in shared.values())
+        assert len(shared) == 5 + 4 + 2  # platform lists, attributes, subjects
+        assert not hasattr(facts[0], "__dict__")
+
+
+# Corpus files for the loader oracle: valid facts that repeat platform lists
+# and subject ids, int and float confidences, blank lines, "\n" or "\r\n"
+# line ends, and at most one malformed line.  Every line is ASCII-escaped
+# JSON, the only kind of file on which the oracle's line splitting is right.
+_valid_facts = st.builds(
+    fact,
+    st.sampled_from(["s-1", "s-2", "s-3"]) | st.text(min_size=1, max_size=4),
+    st.sampled_from(sorted(ATTRIBUTE_KEYS)),
+    st.text(max_size=6),
+    st.lists(st.sampled_from(["maltego", "webmii", "pipl"]), min_size=1, max_size=3),
+    st.integers(0, 1) | st.floats(0, 1) | st.sampled_from([0.5, 0.95]),
+).map(json.dumps)
+
+
+def _mutated(mutate, line):
+    row = json.loads(line)
+    mutate(row)
+    return json.dumps(row)
+
+
+_malformed_lines = st.one_of(
+    st.builds(_mutated, st.sampled_from(MUTATIONS), _valid_facts),
+    st.sampled_from(
+        [
+            "{broken",
+            '{"subject_id": "s',
+            '["a", "list"]',
+            "null",
+            json.dumps(fact("s", "shoe_size", "44", ["webmii"])),
+            json.dumps(fact("s", "full_name", "x", ["webmii"])) + " {",
+        ]
+    ),
+)
+
+
+@st.composite
+def _corpus_files(draw):
+    lines = draw(st.lists(_valid_facts | st.sampled_from(["", "   ", "\t"]), max_size=12))
+    malformed = draw(st.none() | _malformed_lines)
+    if malformed is not None:
+        lines.insert(draw(st.integers(0, len(lines))), malformed)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    final = draw(st.sampled_from(["", newline]))
+    return (newline.join(lines) + final if lines else "").encode("ascii")
+
+
+def _loaded(loader, path):
+    try:
+        corpus = loader(path)
+    except CorpusError as exc:
+        return type(exc), exc.line_number, str(exc)
+    return [(subject, corpus.facts_for(subject)) for subject in corpus.subjects]
+
+
+@given(_corpus_files())
+def test_streaming_load_equals_the_line_by_line_oracle(tmp_path_factory, data):
+    """load_corpus builds the oracle's subjects and facts, or raises the same
+    error class with the same line number and message."""
+    path = tmp_path_factory.getbasetemp() / "oracle-corpus.jsonl"
+    path.write_bytes(data)
+    assert _loaded(load_corpus, path) == _loaded(oracle_load_corpus, path)
 
 
 def test_bundled_corpus_is_loadable_and_plausible():

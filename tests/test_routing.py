@@ -244,6 +244,11 @@ class TestOverlay:
                       "http": {"base": 5}}]},
             {"add": [{"name": "x", "accepts": ["email"], "backend": "http",
                       "http": {"base": "http://h", "credential_env": 5}}]},
+            {"add": [{"name": "x", "accepts": ["email"], "backend": "http",
+                      "http": {"base": "http://h", "methd": "POST"}}]},
+            {"add": [{"name": "x", "accepts": ["email"], "backend": "corpus",
+                      "http": {"base": "http://h"}}]},
+            {"add": [{"name": "x", "accepts": ["email"], "http": {"base": "http://h"}}]},
         ],
     )
     def test_malformed_overlays_rejected(self, registry, tmp_path, payload):
