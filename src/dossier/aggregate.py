@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import Iterable, Sequence, Tuple
 
 from .collect.records import CollectorOutcome, OutcomeStatus
@@ -31,7 +32,7 @@ from .inputs import (
     hard_identifier_attribute,
 )
 from .routing import Registry
-from .similarity import NAME_MATCH_THRESHOLD, token_set_jaccard
+from .similarity import NAME_MATCH_THRESHOLD, jaccard, name_tokens
 from .vocab import ATTRIBUTE_KEYS, HARD_IDENTIFIERS, NAME_ATTRIBUTES
 
 # Records below this confidence are dropped outright.
@@ -157,13 +158,6 @@ class _UnionFind:
             self.parent[max(left_root, right_root)] = min(left_root, right_root)
 
 
-def _group(uf: _UnionFind, size: int) -> dict[int, list[int]]:
-    groups: dict[int, list[int]] = {}
-    for index in range(size):
-        groups.setdefault(uf.find(index), []).append(index)
-    return groups
-
-
 def resolve_candidates(records: Sequence[EvidenceRecord]) -> list[CandidateProfile]:
     """Partition records into candidate people.
 
@@ -172,8 +166,8 @@ def resolve_candidates(records: Sequence[EvidenceRecord]) -> list[CandidateProfi
     * identical (hard-identifier attribute, value) pairs;
     * identical (source, provenance) response batches;
     * a soft name link between clusters that both lack hard identifiers,
-      when their best full_name/alias token overlap reaches 0.5.  Clusters
-      holding hard identifiers never merge on names alone.
+      when a full_name/alias of each overlaps at token-set Jaccard >= 0.5.
+      Clusters holding hard identifiers never merge on names alone.
 
     The partition is independent of record order, and cluster ids are the
     lexicographic minimum of member record ids, so they are stable too.
@@ -196,33 +190,31 @@ def resolve_candidates(records: Sequence[EvidenceRecord]) -> list[CandidateProfi
                 uf.union(seen, index)
 
     # Soft name linking between identifier-free clusters, in one pass.
-    # Merging only unions name sets: eligibility survives a merge, and a
-    # merged cluster's best overlap is the maximum over its parts.  So the
-    # union of all qualifying pairs is already the fixed point, whatever
-    # the merge order.
-    cluster_info = []
-    for root, members in _group(uf, size).items():
-        has_hard = any(recs[i].attribute in HARD_IDENTIFIERS for i in members)
-        names = [recs[i].value for i in members if recs[i].attribute in NAME_ATTRIBUTES]
-        cluster_info.append((root, has_hard, names))
-    for left_pos in range(len(cluster_info)):
-        left_root, left_hard, left_names = cluster_info[left_pos]
-        if left_hard or not left_names:
-            continue
-        for right_pos in range(left_pos + 1, len(cluster_info)):
-            right_root, right_hard, right_names = cluster_info[right_pos]
-            if right_hard or not right_names:
-                continue
-            if uf.find(left_root) == uf.find(right_root):
-                continue
-            best = max(token_set_jaccard(a, b) for a in left_names for b in right_names)
-            if best >= NAME_MATCH_THRESHOLD:
-                uf.union(left_root, right_root)
+    # Merging only unions name sets and never adds a hard identifier, so
+    # eligibility is read from the hard/batch partition, and linking every
+    # qualifying pair of name token sets is already the fixed point.
+    # Soft unions join only identifier-free clusters, so no root in
+    # hard_roots moves.  Clusters holding the same set link at once (their
+    # Jaccard is 1), and each pair of distinct sets is compared once.  A
+    # token-free name overlaps nothing.
+    hard_roots = {uf.find(i) for i, r in enumerate(recs) if r.attribute in HARD_IDENTIFIERS}
+    holders: dict[frozenset[str], int] = {}
+    for index, record in enumerate(recs):
+        if record.attribute in NAME_ATTRIBUTES and uf.find(index) not in hard_roots:
+            tokens = name_tokens(record.value)
+            if tokens:
+                uf.union(holders.setdefault(tokens, index), index)
+    for (left, left_index), (right, right_index) in combinations(holders.items(), 2):
+        if jaccard(left, right) >= NAME_MATCH_THRESHOLD:
+            uf.union(left_index, right_index)
 
+    groups: dict[int, list[EvidenceRecord]] = {}
+    for index, record in enumerate(recs):
+        groups.setdefault(uf.find(index), []).append(record)
     profiles = []
-    for members in _group(uf, size).values():
+    for members in groups.values():
         group_records = sorted(
-            (recs[i] for i in members),
+            members,
             key=lambda r: (r.attribute, r.value, r.source, r.provenance, r.confidence),
         )
         cluster_id = min(record.record_id for record in group_records)
@@ -278,8 +270,9 @@ def match_score(
 
     name = 0.0
     if query.kind in (InputKind.NAME, InputKind.KEYWORD):
+        query_tokens = name_tokens(query.canonical)
         overlaps = [
-            token_set_jaccard(query.canonical, r.value)
+            jaccard(query_tokens, name_tokens(r.value))
             for r in profile.records
             if r.attribute in NAME_ATTRIBUTES
         ]

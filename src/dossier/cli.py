@@ -31,6 +31,7 @@ from .collect.executor import execute_stack, make_fetcher
 from .collect.records import ExecutionConfig, OutcomeStatus
 from .errors import DossierError
 from .inputs import (
+    COUNTRY_CALLING_CODES,
     DEFAULT_REGION,
     InputKind,
     Platform,
@@ -117,6 +118,12 @@ def parse_args(argv: Sequence[str]) -> PipelineConfig:
         parser.error("--max-parallel must be at least 1")
     if not 0.0 <= ns.min_relevance <= 1.0:
         parser.error("--min-relevance must be within [0, 1]")
+    region = ns.region.strip().upper()
+    if region not in COUNTRY_CALLING_CODES:
+        parser.error(
+            f"--region {ns.region!r} has no known dialing code "
+            f"(one of {', '.join(sorted(COUNTRY_CALLING_CODES))})"
+        )
     if ns.pin_timestamp is not None:
         try:
             datetime.fromisoformat(ns.pin_timestamp.replace("Z", "+00:00"))
@@ -133,7 +140,7 @@ def parse_args(argv: Sequence[str]) -> PipelineConfig:
         template=ns.template,
         fmt=ns.fmt,
         registry_path=ns.registry,
-        region=ns.region,
+        region=region,
         timeout_ms=ns.timeout_ms,
         max_parallel=ns.max_parallel,
         min_relevance=ns.min_relevance,

@@ -25,7 +25,7 @@ from ..inputs import (
     canonical_identifier,
     hard_identifier_attribute,
 )
-from ..similarity import NAME_MATCH_THRESHOLD, name_tokens, token_set_jaccard
+from ..similarity import NAME_MATCH_THRESHOLD, jaccard, name_tokens
 from ..vocab import ATTRIBUTE_KEYS, NAME_ATTRIBUTES
 from .records import RawRecord
 
@@ -136,8 +136,9 @@ class Corpus:
             return index.get(query.canonical, [])
         if kind in (InputKind.NAME, InputKind.KEYWORD):
             index = self._index(("name",), lambda: _name_index(by_subject))
+            tokens = name_tokens(query.canonical)
             candidates = set()
-            for token in name_tokens(query.canonical):
+            for token in tokens:
                 candidates.update(index.get(token, ()))
             # Jaccard >= 0.5 needs a shared token, so only candidates can match.
             return [
@@ -145,7 +146,7 @@ class Corpus:
                 for subject_id in sorted(candidates)
                 if any(
                     fact.attribute in NAME_ATTRIBUTES
-                    and token_set_jaccard(query.canonical, fact.value) >= NAME_MATCH_THRESHOLD
+                    and jaccard(tokens, name_tokens(fact.value)) >= NAME_MATCH_THRESHOLD
                     for fact in by_subject[subject_id]
                 )
             ]

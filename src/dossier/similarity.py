@@ -24,11 +24,8 @@ def name_tokens(value: str) -> frozenset[str]:
     return frozenset(_TOKEN_RE.findall(fold_text(value)))
 
 
-def token_set_jaccard(left: str, right: str) -> float:
-    """Jaccard overlap of the token sets of two strings (0.0 when both are empty)."""
-    left_tokens = name_tokens(left)
-    right_tokens = name_tokens(right)
-    union = left_tokens | right_tokens
-    if not union:
-        return 0.0
-    return len(left_tokens & right_tokens) / len(union)
+def jaccard(left: frozenset[str], right: frozenset[str]) -> float:
+    """Jaccard overlap of two token sets (0.0 when both are empty)."""
+    shared = len(left & right)
+    union = len(left) + len(right) - shared
+    return shared / union if union else 0.0

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -262,6 +263,37 @@ class TestResolve:
     def test_empty_input(self):
         assert resolve_candidates([]) == []
 
+    def test_initials_groups_of_one_surname_are_one_candidate_each(self):
+        # 500 people, each "Given Lind" and "Given I. J. Lind" from two
+        # sources in one batch per source.  One person's full name and alias
+        # overlap at exactly 0.5, aliases sharing both initials at 0.6, and
+        # any other two names at most 1/3, so each initials group is one
+        # candidate.  With several surnames, aliases of different surnames
+        # would collide at 0.6.
+        syllables = [c + v for c in "bdfgklmnprstvz" for v in "aeiou"]
+        givens = [(a + b).capitalize() for a, b in itertools.product(syllables, repeat=2)]
+        initials = list(itertools.combinations("abcdefghijklmnopqrstuvwxyz", 2))
+        records, expected, person = [], [], 0
+        for group, (first, second) in enumerate(initials):
+            if person == 500:
+                break
+            members = []
+            for given in givens[person : min(person + 1 + group % 7, 500)]:
+                for source in ("maltego", "webmii"):
+                    batch = f"{source}/{given}"
+                    members += [
+                        make_record("full_name", f"{given} Lind", source, 0.9, batch),
+                        make_record(
+                            "alias", f"{given} {first.upper()}. {second.upper()}. Lind",
+                            source, 0.9, batch,
+                        ),
+                    ]
+                person += 1
+            records += members
+            expected.append(tuple(sorted(r.record_id for r in members)))
+        assert len(records) == 2000
+        assert partition_signature(resolve_candidates(records)) == sorted(expected)
+
 
 class TestVisibility:
     def test_log_growth_single_source(self):
@@ -480,6 +512,48 @@ def partition_signature(profiles):
 @given(records_strategy)
 @settings(max_examples=100, deadline=None)
 def test_clustering_matches_brute_force_oracle(records):
+    actual = partition_signature(resolve_candidates(records))
+    expected = sorted(
+        tuple(sorted(records[i].record_id for i in component))
+        for component in oracle_partition(records)
+    )
+    assert actual == expected
+
+
+# Heavy name sharing for the soft-link pass: names of 0-5 tokens drawn from
+# ten, with diacritic and case twins that fold to one token ("Änn", "ANN"),
+# token-free names, and pairs at Jaccard exactly 0.5 ({ann} and {ann, bo}),
+# mixed with email records that veto soft links and with shared batches.
+NAME_SPELLINGS = (
+    "ann", "Änn", "ANN", "bo", "Bö", "jose", "José", "lee", "kim", "li",
+    "ava", "noor", "zoe", "Zoë", "eli",
+)
+name_strategy = st.one_of(
+    st.lists(st.sampled_from(NAME_SPELLINGS), max_size=5).map(" ".join),
+    st.sampled_from(("!!!", "?? -")),
+)
+
+
+@st.composite
+def soft_link_records(draw):
+    records = []
+    for _ in range(draw(st.integers(0, 60))):
+        attribute = draw(st.sampled_from(("full_name", "alias", "full_name", "email", "location")))
+        if attribute == "email":
+            value = draw(st.sampled_from(("a@x.io", "b@x.io")))
+        elif attribute == "location":
+            value = "denver"
+        else:
+            value = draw(name_strategy)
+        source = draw(st.sampled_from(("s1", "s2")))
+        batch = draw(st.integers(0, 24))
+        records.append(EvidenceRecord(attribute, value, source, 0.9, f"{source}/b{batch}"))
+    return records
+
+
+@given(soft_link_records())
+@settings(max_examples=150, deadline=None)
+def test_soft_linking_matches_brute_force_oracle_under_heavy_name_sharing(records):
     actual = partition_signature(resolve_candidates(records))
     expected = sorted(
         tuple(sorted(records[i].record_id for i in component))

@@ -280,6 +280,18 @@ class TestAtomicWrites:
         assert out.read_text() == "precious previous report"
         capsys.readouterr()
 
+    def test_unknown_region_exits_2_and_preserves_existing_report(
+        self, john_smith_corpus, tmp_path, capsys
+    ):
+        out = tmp_path / "report.md"
+        out.write_text("precious previous report")
+        code = main(
+            run_args(john_smith_corpus, out, "--input", "John Smith", "--region", "ZZ")
+        )
+        assert code == EXIT_USAGE
+        assert "--region 'ZZ' has no known dialing code" in capsys.readouterr().err
+        assert out.read_text() == "precious previous report"
+
     def test_unwritable_output_exits_5_without_partial_file(
         self, john_smith_corpus, tmp_path, capsys
     ):
@@ -414,6 +426,26 @@ class TestPipelineBehaviour:
         text = out.read_text()
         assert "+14122682597" in text
         assert "Pat Doe" in text
+        capsys.readouterr()
+
+    def test_region_is_read_in_upper_case(self, tmp_path, capsys):
+        rows = [
+            fact("s-p", "phone", "098765 43210", ["bmobile", "maltego", "pipl"]),
+            fact("s-p", "full_name", "Pat Doe", ["maltego"]),
+        ]
+        corpus = write_jsonl(tmp_path / "phones.jsonl", rows)
+        rendered = []
+        for region in ("in", "IN"):
+            out = tmp_path / f"r-{region}.md"
+            argv = run_args(
+                corpus, out, "--input", "098765 43210", "--region", region,
+                "--pin-timestamp", "2020-01-01T00:00:00+00:00",
+            )
+            assert parse_args(argv).region == "IN"
+            assert main(argv) == EXIT_OK
+            rendered.append(out.read_bytes())
+        assert rendered[0] == rendered[1]
+        assert b"+9109876543210" in rendered[0]
         capsys.readouterr()
 
     def test_national_phone_in_corpus_found_by_the_same_string(self, tmp_path, capsys):
