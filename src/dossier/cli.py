@@ -219,7 +219,7 @@ def run_pipeline(config: PipelineConfig) -> int:
             print(f"  {outcome.collector}: {outcome.error_detail}", file=err)
         return EXIT_ALL_FAILED
 
-    records = dedup(normalize_records(outcomes, default_region=config.region))
+    records = dedup(normalize_records(outcomes, default_region=query.region))
     candidates = resolve_candidates(records)
 
     best = None

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import DossierError
 
@@ -174,6 +174,10 @@ def normalize_handle(raw: str) -> str:
     return text.lower()
 
 
+# Handle attribute key -> the platform its handles are on.
+_HANDLE_PLATFORMS = {f"social_handle_{p.value}": p for p in Platform}
+
+
 def hard_identifier_attribute(kind: InputKind, platform: Optional[Platform]) -> Optional[str]:
     """Map a query kind to the attribute key it identifies, if any."""
     if kind is InputKind.EMAIL:
@@ -200,12 +204,8 @@ def canonical_identifier(attribute: str, value: str, region: str) -> Optional[st
             return normalize_email(value)
         if attribute == "phone":
             return normalize_phone(value, region)
-        if attribute.startswith("social_handle_"):
-            # The ":" test keeps the prefix regex off the common path.
-            prefixed = _platform_from_prefix(value.strip()) if ":" in value else None
-            if prefixed is not None and attribute == "social_handle_" + prefixed[0].value:
-                value = prefixed[1]
-            return normalize_handle(value)
+        if attribute in _HANDLE_PLATFORMS:
+            return _canonical_handle(value, _HANDLE_PLATFORMS[attribute])
     except (MalformedEmailError, MalformedPhoneError, UnknownRegionError, InvalidForHintError):
         return None
     return None
@@ -238,6 +238,29 @@ def _platform_from_prefix(text: str) -> Optional[tuple[Platform, str]]:
     return Platform(match.group(1).lower()), match.group(2)
 
 
+def _canonical_handle(text: str, platform: Platform) -> str:
+    """*text* as a handle on *platform*: a ``platform:`` prefix naming that
+    platform is dropped, then :func:`normalize_handle` applies."""
+    # The ":" test keeps the prefix regex off the common path.
+    prefixed = _platform_from_prefix(text.strip()) if ":" in text else None
+    if prefixed is not None and prefixed[0] is platform:
+        text = prefixed[1]
+    return normalize_handle(text)
+
+
+# Query kind -> canonical form of a string of that kind (given its platform and
+# phone region); canonical_identifier applies the email, phone and handle rules.
+_CANONICAL_FORMS: dict[InputKind, Callable[[str, Optional[Platform], str], str]] = {
+    InputKind.EMAIL: lambda text, platform, region: normalize_email(text),
+    InputKind.PHONE: lambda text, platform, region: normalize_phone(text, region),
+    InputKind.SOCIAL_HANDLE: lambda text, platform, region: _canonical_handle(text, platform),
+    InputKind.DOMAIN: lambda text, platform, region: text.lower().rstrip("."),
+    InputKind.NAME: lambda text, platform, region: _collapse(text.lower()),
+    InputKind.KEYWORD: lambda text, platform, region: _collapse(text.lower()),
+    InputKind.IMAGE_PATH: lambda text, platform, region: text,
+}
+
+
 def classify_input(
     raw: str,
     kind_hint: Optional[InputKind] = None,
@@ -246,6 +269,8 @@ def classify_input(
 ) -> QueryInput:
     """Classify *raw* into a :class:`QueryInput` carrying *default_region*.
 
+    *default_region* is read in upper case and must have a known dialing
+    code, or :class:`UnknownRegionError` is raised, whatever the kind.
     With *kind_hint* the string must fit that kind's syntax or
     :class:`InvalidForHintError` is raised.  Without a hint the fixed rule
     order (email, phone, social handle, domain, name, keyword) applies and
@@ -257,100 +282,74 @@ def classify_input(
     text = raw.strip()
     if not text:
         raise EmptyInputError("query string is empty")
-    if kind_hint is not None:
-        kind, canonical, platform = _classify_hinted(
-            raw, text, kind_hint, platform_hint, default_region
-        )
+    country_calling_code(default_region)  # refuses a region with no dialing code
+    region = default_region.strip().upper()
+    if kind_hint is None:
+        kind, platform = _detect_kind(raw, text, platform_hint)
+        canonical = _CANONICAL_FORMS[kind](text, platform, region)
     else:
-        kind, canonical, platform = _classify_auto(raw, text, platform_hint, default_region)
-    return QueryInput(kind, raw, canonical, platform, default_region)
+        kind, platform = kind_hint, _check_hint(raw, text, kind_hint, platform_hint)
+        try:
+            canonical = _CANONICAL_FORMS[kind](text, platform, region)
+        except (MalformedEmailError, MalformedPhoneError) as exc:
+            raise InvalidForHintError(str(exc)) from exc
+    return QueryInput(kind, raw, canonical, platform, region)
 
 
-def _classify_auto(
-    raw: str, text: str, platform_hint: Optional[Platform], default_region: str
-) -> tuple[InputKind, str, Optional[Platform]]:
+def _detect_kind(
+    raw: str, text: str, platform_hint: Optional[Platform]
+) -> tuple[InputKind, Optional[Platform]]:
+    """The kind and platform of an unhinted query, by the fixed rule order."""
     if _EMAIL_RE.match(text):
-        return InputKind.EMAIL, normalize_email(text), None
+        return InputKind.EMAIL, None
     if _looks_like_phone(text):
-        return InputKind.PHONE, normalize_phone(text, default_region), None
+        return InputKind.PHONE, None
     prefixed = _platform_from_prefix(text)
     if prefixed is not None:
-        platform, handle = prefixed
-        return InputKind.SOCIAL_HANDLE, normalize_handle(handle), platform
+        return InputKind.SOCIAL_HANDLE, prefixed[0]
     if text.startswith("@"):
         if platform_hint is not None:
-            return InputKind.SOCIAL_HANDLE, normalize_handle(text), platform_hint
+            return InputKind.SOCIAL_HANDLE, platform_hint
         logger.warning(
             "bare @handle without a platform hint; treating %r as a keyword", raw
         )
-        return InputKind.KEYWORD, _collapse(text.lower()), None
+        return InputKind.KEYWORD, None
     if _DOMAIN_RE.match(text):
-        return InputKind.DOMAIN, text.lower().rstrip("."), None
+        return InputKind.DOMAIN, None
     if _looks_like_name(text):
-        return InputKind.NAME, _collapse(text.lower()), None
-    return InputKind.KEYWORD, _collapse(text.lower()), None
+        return InputKind.NAME, None
+    return InputKind.KEYWORD, None
 
 
-def _classify_hinted(
-    raw: str,
-    text: str,
-    kind_hint: InputKind,
-    platform_hint: Optional[Platform],
-    default_region: str,
-) -> tuple[InputKind, str, Optional[Platform]]:
+def _check_hint(
+    raw: str, text: str, kind_hint: InputKind, platform_hint: Optional[Platform]
+) -> Optional[Platform]:
+    """Refuse a hinted query whose text cannot be of the hinted kind; return its platform."""
     if platform_hint is not None and kind_hint is not InputKind.SOCIAL_HANDLE:
         raise InvalidForHintError(
             f"platform hint {platform_hint.value!r} only applies to social handles"
         )
-
-    if kind_hint is InputKind.EMAIL:
-        try:
-            return InputKind.EMAIL, normalize_email(text), None
-        except MalformedEmailError as exc:
-            raise InvalidForHintError(str(exc)) from exc
-
-    if kind_hint is InputKind.PHONE:
-        try:
-            return InputKind.PHONE, normalize_phone(text, default_region), None
-        except MalformedPhoneError as exc:
-            raise InvalidForHintError(str(exc)) from exc
-
+    if not isinstance(kind_hint, InputKind):
+        raise InvalidForHintError(f"unsupported kind hint: {kind_hint!r}")
     if kind_hint is InputKind.SOCIAL_HANDLE:
         prefixed = _platform_from_prefix(text)
-        if prefixed is not None:
-            platform, handle = prefixed
-            if platform_hint is not None and platform_hint is not platform:
+        if prefixed is None:
+            if platform_hint is None:
                 raise InvalidForHintError(
-                    f"handle names platform {platform.value!r} but hint says "
-                    f"{platform_hint.value!r}"
+                    "social handle needs a platform: use 'platform:handle' syntax "
+                    "or pass a platform hint"
                 )
-            return InputKind.SOCIAL_HANDLE, normalize_handle(handle), platform
-        if platform_hint is None:
+            return platform_hint
+        if platform_hint is not None and platform_hint is not prefixed[0]:
             raise InvalidForHintError(
-                "social handle needs a platform: use 'platform:handle' syntax "
-                "or pass a platform hint"
+                f"handle names platform {prefixed[0].value!r} but hint says "
+                f"{platform_hint.value!r}"
             )
-        return InputKind.SOCIAL_HANDLE, normalize_handle(text), platform_hint
-
-    if kind_hint is InputKind.DOMAIN:
-        if not _DOMAIN_RE.match(text):
-            raise InvalidForHintError(f"not a valid domain: {raw!r}")
-        return InputKind.DOMAIN, text.lower().rstrip("."), None
-
-    if kind_hint is InputKind.NAME:
-        if not _looks_like_name(text):
-            raise InvalidForHintError(
-                f"a name needs at least two alphabetic words: {raw!r}"
-            )
-        return InputKind.NAME, _collapse(text.lower()), None
-
-    if kind_hint is InputKind.KEYWORD:
-        return InputKind.KEYWORD, _collapse(text.lower()), None
-
-    if kind_hint is InputKind.IMAGE_PATH:
-        path = Path(text)
-        if not path.is_file():
-            raise MissingImageError(f"image file not found: {text}")
-        return InputKind.IMAGE_PATH, text, None
-
-    raise InvalidForHintError(f"unsupported kind hint: {kind_hint!r}")
+        return prefixed[0]
+    if kind_hint is InputKind.DOMAIN and not _DOMAIN_RE.match(text):
+        raise InvalidForHintError(f"not a valid domain: {raw!r}")
+    if kind_hint is InputKind.NAME and not _looks_like_name(text):
+        raise InvalidForHintError(f"a name needs at least two alphabetic words: {raw!r}")
+    if kind_hint is InputKind.IMAGE_PATH and not Path(text).is_file():
+        raise MissingImageError(f"image file not found: {text}")
+    return None

@@ -10,6 +10,7 @@ name, but the keyword engines cover it.
 from __future__ import annotations
 
 import json
+import string
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -42,8 +43,9 @@ class HttpCollectorConfig:
     """Request/response wiring for an HTTP-backed collector.
 
     ``query_template`` is appended to ``base`` after substituting ``{value}``
-    (URL-encoded canonical query) and ``{kind}``.  ``response_mapping`` maps
-    dotted field paths in the JSON response body to attribute keys.
+    (URL-encoded canonical query) and ``{kind}``, the only fields it may hold.
+    ``response_mapping`` maps dotted field paths in the JSON response body to
+    attribute keys.
     Credentials are never stored inline: ``credential_env`` names an
     environment variable whose value is sent as a bearer token.
     """
@@ -68,6 +70,16 @@ class HttpCollectorConfig:
                 raise ValueError(f"{name} must be a string")
         if self.credential_env is not None and not isinstance(self.credential_env, str):
             raise ValueError("credential_env must be a string")
+        try:
+            fields = list(string.Formatter().parse(self.query_template))
+        except ValueError as exc:
+            raise ValueError(f"query_template {self.query_template!r}: {exc}") from exc
+        for _, field_name, spec, conversion in fields:
+            if field_name not in (None, "value", "kind") or spec or conversion:
+                raise ValueError(
+                    f"query_template {self.query_template!r} may hold only "
+                    "{value} and {kind}"
+                )
         if self.method.upper() not in ("GET", "POST"):
             raise ValueError(f"unsupported HTTP method: {self.method!r}")
         object.__setattr__(self, "method", self.method.upper())
@@ -142,10 +154,10 @@ class Registry(Mapping):
             raise KeyError(name)
         return Registry(d for d in self._by_name.values() if d.name != name)
 
-    def reliability_of(self, name: str, default: float = 1.0) -> float:
-        """Reliability weight for a source name; *default* when unregistered."""
+    def reliability_of(self, name: str) -> float:
+        """Reliability weight for a source name; 1.0 when unregistered."""
         descriptor = self._by_name.get(name)
-        return default if descriptor is None else descriptor.reliability
+        return 1.0 if descriptor is None else descriptor.reliability
 
 
 # The accept columns a collector can declare, by config-file spelling.

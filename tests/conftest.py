@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import sys
 
 import pytest
@@ -41,6 +42,30 @@ def make_record(
         confidence=confidence,
         provenance=provenance,
     )
+
+
+# Query templates an HTTP collector refuses at load: an unknown, empty, attribute or
+# index field, a conversion, a format spec, or a lone brace.
+BAD_QUERY_TEMPLATES = [
+    "?q={valu}",
+    "?q={}",
+    "?q={value.upper}",
+    "?q={value[0]}",
+    "?q={value!r}",
+    "?q={value:>9}",
+    "?q={kind:{value}}",
+    "?q={",
+    "?q=}",
+]
+
+
+def closed_port() -> int:
+    """A loopback port that nothing listens on (bound once, then released)."""
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    return port
 
 
 def write_jsonl(path, rows) -> str:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import json
 import random
-import socket
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -38,7 +37,7 @@ from dossier.routing import (
     route,
 )
 
-from conftest import john_smith_rows, write_jsonl
+from conftest import closed_port, john_smith_rows, write_jsonl
 from oracles import oracle_best_cluster, oracle_partition
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -63,14 +62,6 @@ def criterion(number: int, title: str):
         return inner
 
     return wrap
-
-
-def closed_port() -> int:
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
-    return port
 
 
 def section_block(markdown: str, title: str) -> str:

@@ -1,9 +1,9 @@
 import json
 import re
-import socket
 
 import pytest
 
+from dossier import cli
 from dossier.cli import (
     EXIT_ALL_FAILED,
     EXIT_FILE_ERROR,
@@ -15,8 +15,9 @@ from dossier.cli import (
     parse_args,
     run_pipeline,
 )
+from dossier.collect.corpus import load_corpus
 
-from conftest import fact, write_jsonl
+from conftest import BAD_QUERY_TEMPLATES, closed_port, fact, write_jsonl
 
 EMAIL_COLLECTORS = [
     "maltego",
@@ -26,14 +27,6 @@ EMAIL_COLLECTORS = [
     "verify_email",
     "whatbreach",
 ]
-
-
-def closed_port() -> int:
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
-    return port
 
 
 def run_args(corpus, out, *extra) -> list:
@@ -270,6 +263,33 @@ class TestExitCodes:
         assert "method must be a string" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("template", BAD_QUERY_TEMPLATES)
+    def test_bad_query_template_exits_5_without_a_report(
+        self, john_smith_corpus, tmp_path, capsys, template
+    ):
+        overlay = tmp_path / "overlay.json"
+        entry = {
+            "name": "x",
+            "accepts": ["email"],
+            "backend": "http",
+            "http": {"base": "http://127.0.0.1:1", "query_template": template},
+        }
+        overlay.write_text(json.dumps({"add": [entry]}))
+        out = tmp_path / "r.md"
+        code = main(
+            run_args(
+                john_smith_corpus,
+                out,
+                "--input",
+                "john.smith@beta.example",
+                "--registry",
+                str(overlay),
+            )
+        )
+        assert code == EXIT_FILE_ERROR
+        assert "registry error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAtomicWrites:
     def test_failed_run_preserves_existing_report(self, john_smith_corpus, tmp_path, capsys):
@@ -290,6 +310,25 @@ class TestAtomicWrites:
         )
         assert code == EXIT_USAGE
         assert "--region 'ZZ' has no known dialing code" in capsys.readouterr().err
+        assert out.read_text() == "precious previous report"
+
+    def test_library_run_with_unknown_region_exits_2_and_preserves_existing_report(
+        self, tmp_path, capsys
+    ):
+        rows = [
+            fact("s-p", "phone", "098765 43210", ["bmobile", "maltego", "pipl"]),
+            fact("s-p", "full_name", "Pat Doe", ["maltego", "webmii"]),
+        ]
+        out = tmp_path / "report.md"
+        out.write_text("precious previous report")
+        config = PipelineConfig(
+            input_text="Pat Doe",
+            corpus_path=write_jsonl(tmp_path / "phones.jsonl", rows),
+            out_path=str(out),
+            region="ZZ",
+        )
+        assert run_pipeline(config) == EXIT_USAGE
+        assert "no dialing code known for region 'ZZ'" in capsys.readouterr().err
         assert out.read_text() == "precious previous report"
 
     def test_unwritable_output_exits_5_without_partial_file(
@@ -446,6 +485,31 @@ class TestPipelineBehaviour:
             rendered.append(out.read_bytes())
         assert rendered[0] == rendered[1]
         assert b"+9109876543210" in rendered[0]
+        capsys.readouterr()
+
+    def test_library_run_reads_region_in_upper_case(self, tmp_path, capsys, monkeypatch):
+        rows = [
+            fact("s-p", "phone", "098765 43210", ["bmobile", "maltego", "pipl"]),
+            fact("s-p", "full_name", "Pat Doe", ["maltego"]),
+        ]
+        corpus = load_corpus(write_jsonl(tmp_path / "phones.jsonl", rows))
+        monkeypatch.setattr(cli, "load_corpus", lambda path: corpus)
+        rendered = []
+        for region in ("in", "IN"):
+            out = tmp_path / f"r-{region}.md"
+            config = PipelineConfig(
+                input_text="098765 43210",
+                corpus_path="shared",
+                out_path=str(out),
+                region=region,
+                pin_timestamp="2020-01-01T00:00:00+00:00",
+            )
+            assert run_pipeline(config) == EXIT_OK
+            rendered.append(out.read_bytes())
+        assert rendered[0] == rendered[1]
+        assert b"+9109876543210" in rendered[0]
+        phone_indexes = [key for key in corpus._indexes if key[:2] == ("identifier", "phone")]
+        assert phone_indexes == [("identifier", "phone", "IN")]
         capsys.readouterr()
 
     def test_national_phone_in_corpus_found_by_the_same_string(self, tmp_path, capsys):

@@ -1,6 +1,5 @@
 import json
 import os
-import socket
 import subprocess
 import sys
 import threading
@@ -22,6 +21,8 @@ from dossier.collect.corpus import Corpus
 from dossier.collect.records import OutcomeStatus
 from dossier.inputs import InputKind, QueryInput
 from dossier.routing import Backend, CollectorDescriptor, HttpCollectorConfig, accepts
+
+import conftest
 
 QUERY = QueryInput(InputKind.EMAIL, "Probe@X.io", "probe@x.io")
 
@@ -91,11 +92,7 @@ def stub_server():
 
 @pytest.fixture()
 def closed_port() -> int:
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
-    return port
+    return conftest.closed_port()
 
 
 def config(base: str, **kwargs) -> HttpCollectorConfig:

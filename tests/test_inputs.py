@@ -260,6 +260,33 @@ def test_query_carries_the_classification_region():
     assert classify_input("(412) 268-2597", default_region="US").region == "US"
     hinted = classify_input("jack", InputKind.SOCIAL_HANDLE, Platform.TWITTER, "GB")
     assert hinted.region == "GB"
+    assert classify_input("Harry Styles", default_region=" us ").region == "US"
+    lower = classify_input("98765 43210", default_region="gb")
+    assert (lower.region, lower.canonical) == ("GB", "+449876543210")
+
+
+@pytest.mark.parametrize(
+    "raw, kind, platform",
+    [
+        ("Harry Styles", None, None),
+        ("a@b.co", None, None),
+        ("98765 43210", None, None),
+        ("+14122682597", None, None),
+        ("twitter:jack", None, None),
+        ("@jack", None, Platform.TWITTER),
+        ("example.com", None, None),
+        ("blockchain", None, None),
+        ("a@b.co", InputKind.EMAIL, None),
+        ("+14122682597", InputKind.PHONE, None),
+        ("jack", InputKind.SOCIAL_HANDLE, Platform.TWITTER),
+        ("example.com", InputKind.DOMAIN, None),
+        ("Harry Styles", InputKind.NAME, None),
+        ("blockchain", InputKind.KEYWORD, None),
+    ],
+)
+def test_unknown_region_is_refused_for_every_kind(raw, kind, platform):
+    with pytest.raises(UnknownRegionError):
+        classify_input(raw, kind, platform, default_region="zz")
 
 
 # Strings that at least contain something printable, to exercise every rule.
@@ -298,6 +325,40 @@ def test_classification_of_canonical_form_is_stable(raw):
     again = classify_input(first.canonical)
     assert again.kind is first.kind
     assert again.canonical == first.canonical
+
+
+# Strings built from the pieces of emails, phones and handles, so that the
+# identifier rules (and their edge cases) are hit often.
+_identifier_like_strings = st.lists(
+    st.sampled_from(
+        ["twitter:", "Facebook:", "INSTAGRAM:", "@", "+", "+1", "0", "98765", "43210",
+         "(412)", "-", ".", ":", " ", "\t", "jack", "Ann", "x.io", "é", "１２"]
+    ),
+    max_size=6,
+).map("".join)
+
+_HINTS = [(InputKind.EMAIL, None), (InputKind.PHONE, None)] + [
+    (kind, platform)
+    for kind in (None, InputKind.SOCIAL_HANDLE)
+    for platform in (None, *Platform)
+]
+
+
+@given(
+    _raw_strings | _identifier_like_strings,
+    st.sampled_from(_HINTS),
+    st.sampled_from(["IN", "US", "gb", " de "]),
+)
+def test_query_and_stored_fact_canonicalize_alike(raw, hints, region):
+    """A string classified as an identifier query has the canonical form that
+    the same string stored as that identifier's fact has."""
+    try:
+        query = classify_input(raw, *hints, default_region=region)
+    except DossierError:
+        return
+    if query.kind in (InputKind.EMAIL, InputKind.PHONE, InputKind.SOCIAL_HANDLE):
+        attribute = hard_identifier_attribute(query.kind, query.platform)
+        assert canonical_identifier(attribute, raw, region) == query.canonical
 
 
 @given(st.text(alphabet="0123456789", min_size=8, max_size=15))

@@ -17,6 +17,8 @@ from dossier.routing import (
     route,
 )
 
+from conftest import BAD_QUERY_TEMPLATES
+
 ALL_BUILTINS = [
     "bmobile",
     "maltego",
@@ -134,7 +136,6 @@ class TestRegistry:
     def test_reliability_of_defaults(self, registry):
         assert registry.reliability_of("pipl") == 1.0
         assert registry.reliability_of("unknown") == 1.0
-        assert registry.reliability_of("unknown", default=0.3) == 0.3
 
     def test_descriptor_validation(self):
         with pytest.raises(ValueError):
@@ -172,6 +173,19 @@ class TestHttpCollectorConfig:
     def test_mapping_attribute_must_be_known(self):
         with pytest.raises(ValueError):
             HttpCollectorConfig(base="http://h", response_mapping={"a": "shoe_size"})
+
+    @pytest.mark.parametrize("template", BAD_QUERY_TEMPLATES)
+    def test_query_template_may_hold_only_value_and_kind(self, template):
+        with pytest.raises(ValueError, match="query_template"):
+            HttpCollectorConfig(base="http://h", query_template=template)
+
+    @pytest.mark.parametrize(
+        "template",
+        ["", "/x", "/q?v={value}", "?email={value}", "/p?q={value}&kind={kind}", "/{{value}}"],
+    )
+    def test_query_template_with_value_and_kind_loads(self, template):
+        config = HttpCollectorConfig(base="http://h", query_template=template)
+        assert config.query_template == template
 
 
 class TestOverlay:
