@@ -16,7 +16,7 @@ from time import perf_counter
 from typing import Callable, Optional, Sequence
 
 from ..inputs import QueryInput
-from ..routing import Backend, CollectorDescriptor
+from ..routing import CollectorDescriptor
 from .adapters import fetch_http
 from .corpus import Corpus, corpus_collect
 from .records import CollectorOutcome, ExecutionConfig, OutcomeStatus, RawRecord
@@ -29,8 +29,7 @@ def make_fetcher(corpus: Corpus, timeout_ms: int = 5000) -> Fetcher:
     """Dispatch each collector to its backend: the corpus or an HTTP endpoint."""
 
     def fetch(descriptor: CollectorDescriptor, query: QueryInput) -> Sequence[RawRecord]:
-        if descriptor.backend is Backend.HTTP:
-            assert descriptor.http is not None  # enforced by the descriptor
+        if descriptor.http is not None:
             return fetch_http(descriptor.name, descriptor.http, query, timeout_ms)
         return corpus_collect(corpus, descriptor, query)
 
@@ -78,9 +77,9 @@ def execute_stack(
     outcomes = [
         _run(descriptor, query, fetch, perf_counter())
         for descriptor in ordered
-        if descriptor.backend is Backend.CORPUS
+        if descriptor.http is None
     ]
-    waiting = deque(enumerate(d for d in ordered if d.backend is not Backend.CORPUS))
+    waiting = deque(enumerate(d for d in ordered if d.http is not None))
     running: dict[int, tuple[str, float]] = {}  # index -> (name, start time)
     finished: queue.SimpleQueue = queue.SimpleQueue()
 

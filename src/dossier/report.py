@@ -20,7 +20,6 @@ from .errors import DossierError
 from .inputs import QueryInput
 from .vocab import ATTRIBUTE_KEYS
 
-TEMPLATE_NAMES = ("criminal", "employee", "matrimonial")
 REPORT_FORMATS = ("md", "json", "csv")
 UNMAPPED_SECTION = "Unmapped Evidence"
 SCHEMA_VERSION = 1
@@ -118,14 +117,19 @@ _PLANS: dict[str, Tuple[Tuple[str, Tuple[str, ...]], ...]] = {
 }
 
 
+# Built and checked once; a template is frozen, so every query shares it.
+_TEMPLATES = {name: ReportTemplate(name=name, sections=plan) for name, plan in _PLANS.items()}
+TEMPLATE_NAMES = tuple(_TEMPLATES)
+
+
 def section_plan(name: str) -> ReportTemplate:
     """The built-in section plan for ``criminal``, ``employee``, or ``matrimonial``."""
-    plan = _PLANS.get(name)
-    if plan is None:
+    template = _TEMPLATES.get(name)
+    if template is None:
         raise UnknownTemplateError(
             f"unknown template {name!r} (expected one of {', '.join(TEMPLATE_NAMES)})"
         )
-    return ReportTemplate(name=name, sections=plan)
+    return template
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,13 @@ name, but the keyword engines cover it.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Mapping, Optional, Tuple
 
 from .errors import DossierError
 from .inputs import InputKind, Platform, QueryInput
@@ -57,6 +58,8 @@ class HttpCollectorConfig:
     credential_env: Optional[str] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.base, str) or not self.base:
+            raise ValueError("base must be a non-empty URL string")
         if isinstance(self.response_mapping, Mapping):
             object.__setattr__(
                 self, "response_mapping", tuple(sorted(self.response_mapping.items()))
@@ -65,7 +68,7 @@ class HttpCollectorConfig:
             object.__setattr__(
                 self, "response_mapping", tuple(tuple(p) for p in self.response_mapping)
             )
-        for name in ("base", "method", "query_template"):
+        for name in ("method", "query_template"):
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a string")
         if self.credential_env is not None and not isinstance(self.credential_env, str):
@@ -90,27 +93,32 @@ class HttpCollectorConfig:
 
 @dataclass(frozen=True)
 class CollectorDescriptor:
-    """A named evidence source plus the query kinds it accepts."""
+    """A named evidence source plus the query kinds it accepts.
+
+    A collector with an ``http`` config calls that endpoint; one without
+    answers from the corpus.
+    """
 
     name: str
     accepts: frozenset  # frozenset[AcceptPair]
     reliability: float = 1.0
-    backend: Backend = Backend.CORPUS
     http: Optional[HttpCollectorConfig] = None
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("collector name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError("collector name must be a non-empty string")
         object.__setattr__(self, "accepts", frozenset(self.accepts))
         if not self.accepts:
             raise ValueError(f"collector {self.name!r} accepts nothing")
+        if isinstance(self.reliability, bool) or not isinstance(self.reliability, (int, float)):
+            raise ValueError(f"reliability must be a number: {self.reliability!r}")
+        object.__setattr__(self, "reliability", float(self.reliability))
         if not 0.0 <= self.reliability <= 1.0:
             raise ValueError(f"reliability must be within [0, 1]: {self.reliability}")
-        if (self.backend is Backend.HTTP) != (self.http is not None):
-            raise ValueError(
-                f"collector {self.name!r}: http config required exactly when "
-                "backend is HTTP"
-            )
+
+    @property
+    def backend(self) -> Backend:
+        return Backend.CORPUS if self.http is None else Backend.HTTP
 
 
 class Registry(Mapping):
@@ -139,20 +147,6 @@ class Registry(Mapping):
 
     def __repr__(self) -> str:
         return f"Registry({list(self._by_name)})"
-
-    def add(self, descriptor: CollectorDescriptor) -> "Registry":
-        """Return a new registry with *descriptor* added; never mutates this one."""
-        if descriptor.name in self._by_name:
-            raise DuplicateCollectorError(
-                f"collector {descriptor.name!r} already registered"
-            )
-        return Registry(list(self._by_name.values()) + [descriptor])
-
-    def without(self, name: str) -> "Registry":
-        """Return a new registry with *name* removed."""
-        if name not in self._by_name:
-            raise KeyError(name)
-        return Registry(d for d in self._by_name.values() if d.name != name)
 
     def reliability_of(self, name: str) -> float:
         """Reliability weight for a source name; 1.0 when unregistered."""
@@ -219,21 +213,35 @@ def route(query: QueryInput, registry: Registry) -> list[CollectorDescriptor]:
     return [d for d in registry.values() if pair in d.accepts]
 
 
-_HTTP_KEYS = {"base", "method", "query_template", "response_mapping", "credential_env"}
+# An add entry spells out a descriptor's fields, plus the ``backend`` it implies.
+_ENTRY_KEYS = {f.name for f in dataclasses.fields(CollectorDescriptor)} | {"backend"}
+_HTTP_KEYS = {f.name for f in dataclasses.fields(HttpCollectorConfig)}
 
 
 def _descriptor_from_entry(entry: object, path: Path) -> CollectorDescriptor:
+    """Check an add entry's JSON shape; the dataclasses check its values."""
     if not isinstance(entry, dict):
         raise OverlayError(f"{path}: each add entry must be an object")
-    unknown = set(entry) - {"name", "accepts", "reliability", "backend", "http"}
+    unknown = set(entry) - _ENTRY_KEYS
     if unknown:
         raise OverlayError(f"{path}: unknown entry keys {sorted(unknown)}")
     name = entry.get("name")
+    backend_name = entry.get("backend", "corpus")
+    try:
+        backend = Backend(backend_name)
+    except ValueError as exc:
+        raise OverlayError(f"{path}: unknown backend {backend_name!r}") from exc
+    if (backend is Backend.HTTP) != ("http" in entry):
+        raise OverlayError(f'{path}: collector {name!r}: http and "backend": "http" go together')
+    raw_http = entry.get("http", {})
+    if not isinstance(raw_http, dict):
+        raise OverlayError(f"{path}: collector {name!r}: http must be an object")
+    unknown = set(raw_http) - _HTTP_KEYS
+    if unknown:
+        raise OverlayError(f"{path}: collector {name!r}: unknown http keys {sorted(unknown)}")
     columns = entry.get("accepts")
-    if not isinstance(name, str) or not name:
-        raise OverlayError(f"{path}: add entry needs a non-empty string name")
-    if not isinstance(columns, list) or not columns:
-        raise OverlayError(f"{path}: collector {name!r} needs a non-empty accepts list")
+    if not isinstance(columns, list):
+        raise OverlayError(f"{path}: collector {name!r} needs an accepts list")
     try:
         accept_set = accepts(*columns)
     except (KeyError, TypeError) as exc:
@@ -241,43 +249,12 @@ def _descriptor_from_entry(entry: object, path: Path) -> CollectorDescriptor:
             f"{path}: collector {name!r} has an unknown accepts column "
             f"(choose from {sorted(ACCEPT_COLUMNS)})"
         ) from exc
-    backend_name = entry.get("backend", "corpus")
-    try:
-        backend = Backend(backend_name)
-    except ValueError as exc:
-        raise OverlayError(f"{path}: unknown backend {backend_name!r}") from exc
-    http_config = None
-    if backend is Backend.HTTP:
-        raw_http = entry.get("http")
-        if not isinstance(raw_http, dict):
-            raise OverlayError(f"{path}: collector {name!r} needs an http object")
-        unknown = set(raw_http) - _HTTP_KEYS
-        if unknown:
-            raise OverlayError(f"{path}: collector {name!r}: unknown http keys {sorted(unknown)}")
-        try:
-            http_config = HttpCollectorConfig(
-                base=raw_http.get("base", ""),
-                method=raw_http.get("method", "GET"),
-                query_template=raw_http.get("query_template", ""),
-                response_mapping=raw_http.get("response_mapping", {}),
-                credential_env=raw_http.get("credential_env"),
-            )
-        except (ValueError, TypeError) as exc:
-            raise OverlayError(f"{path}: collector {name!r}: {exc}") from exc
-        if not http_config.base:
-            raise OverlayError(f"{path}: collector {name!r} needs a base URL")
-    elif "http" in entry:
-        raise OverlayError(f"{path}: collector {name!r}: http needs \"backend\": \"http\"")
-    reliability = entry.get("reliability", 1.0)
-    if isinstance(reliability, bool) or not isinstance(reliability, (int, float)):
-        raise OverlayError(f"{path}: collector {name!r}: reliability must be a number")
     try:
         return CollectorDescriptor(
             name=name,
             accepts=accept_set,
-            reliability=float(reliability),
-            backend=backend,
-            http=http_config,
+            reliability=entry.get("reliability", 1.0),
+            http=HttpCollectorConfig(**raw_http) if backend is Backend.HTTP else None,
         )
     except (ValueError, TypeError) as exc:
         raise OverlayError(f"{path}: collector {name!r}: {exc}") from exc
@@ -288,7 +265,8 @@ def load_overlay(registry: Registry, path: str | Path) -> Registry:
 
     The file holds ``{"disable": [names...], "add": [entries...]}``.  Disables
     run first, so an add may redefine a built-in collector under its old name.
-    Entry shape: ``{"name", "accepts", "reliability"?, "backend"?, "http"?}``.
+    Entry shape: ``{"name", "accepts", "reliability"?, "backend"?, "http"?}``,
+    where ``http`` is given exactly when ``backend`` is ``"http"``.
     """
     path = Path(path)
     try:
@@ -302,24 +280,20 @@ def load_overlay(registry: Registry, path: str | Path) -> Registry:
     unknown = set(payload) - {"disable", "add"}
     if unknown:
         raise OverlayError(f"{path}: unknown overlay keys {sorted(unknown)}")
-
-    result = registry
     disables = payload.get("disable", [])
     if not isinstance(disables, list) or not all(isinstance(n, str) for n in disables):
         raise OverlayError(f"{path}: disable must be a list of names")
-    for name in disables:
-        try:
-            result = result.without(name)
-        except KeyError as exc:
-            raise OverlayError(f"{path}: cannot disable unknown collector {name!r}") from exc
-
     additions = payload.get("add", [])
     if not isinstance(additions, list):
         raise OverlayError(f"{path}: add must be a list of entries")
+
+    by_name = dict(registry)
+    for name in disables:
+        if by_name.pop(name, None) is None:
+            raise OverlayError(f"{path}: cannot disable {name!r}: not registered")
     for entry in additions:
         descriptor = _descriptor_from_entry(entry, path)
-        try:
-            result = result.add(descriptor)
-        except DuplicateCollectorError as exc:
-            raise OverlayError(f"{path}: {exc}") from exc
-    return result
+        if descriptor.name in by_name:
+            raise OverlayError(f"{path}: collector {descriptor.name!r} already registered")
+        by_name[descriptor.name] = descriptor
+    return Registry(by_name.values())

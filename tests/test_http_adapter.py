@@ -20,7 +20,7 @@ from dossier.collect.executor import execute_stack, make_fetcher
 from dossier.collect.corpus import Corpus
 from dossier.collect.records import OutcomeStatus
 from dossier.inputs import InputKind, QueryInput
-from dossier.routing import Backend, CollectorDescriptor, HttpCollectorConfig, accepts
+from dossier.routing import CollectorDescriptor, HttpCollectorConfig, accepts
 
 import conftest
 
@@ -254,7 +254,6 @@ def test_executor_absorbs_http_failures(closed_port):
     dead = CollectorDescriptor(
         name="deadsvc",
         accepts=accepts("email"),
-        backend=Backend.HTTP,
         http=config(f"http://127.0.0.1:{closed_port}", query_template="/q"),
     )
     fetch = make_fetcher(Corpus([]), timeout_ms=2000)

@@ -11,7 +11,7 @@ from dossier.collect.records import (
 )
 from dossier.collect.executor import execute_stack
 from dossier.inputs import InputKind, QueryInput
-from dossier.routing import Backend, CollectorDescriptor, HttpCollectorConfig, accepts
+from dossier.routing import CollectorDescriptor, HttpCollectorConfig, accepts
 
 QUERY = QueryInput(InputKind.KEYWORD, "probe", "probe")
 
@@ -22,7 +22,6 @@ def descriptor(name: str) -> CollectorDescriptor:
     return CollectorDescriptor(
         name=name,
         accepts=accepts("keyword"),
-        backend=Backend.HTTP,
         http=HttpCollectorConfig(base="http://unused.invalid"),
     )
 
