@@ -331,13 +331,15 @@ def filter_relevance(
     """Keep records whose relevance reaches *threshold*.
 
     Relevance is ``source reliability * confidence``, quartered for records
-    outside the chosen cluster.  Raising the threshold never lets a record
-    back in.  Output is sorted by (attribute, value, source).
+    whose (attribute, value, source) is not in the chosen cluster.  Raising
+    the threshold never lets a record back in.  Output is sorted by
+    (attribute, value, source).
     """
-    member_ids = {record.record_id for record in best.records}
+    members = {(r.attribute, r.value, r.source) for r in best.records}
     kept = []
     for record in records:
-        membership = 1.0 if record.record_id in member_ids else OUT_OF_CLUSTER_WEIGHT
+        key = (record.attribute, record.value, record.source)
+        membership = 1.0 if key in members else OUT_OF_CLUSTER_WEIGHT
         relevance = registry.reliability_of(record.source) * record.confidence * membership
         if relevance >= threshold:
             kept.append(record)

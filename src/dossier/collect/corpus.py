@@ -33,6 +33,9 @@ _CORPUS_FIELDS = frozenset({"subject_id", "attribute", "value", "platforms", "co
 # Each attribute key maps to the vocabulary's own string, so facts share it.
 _ATTRIBUTES = {key: key for key in ATTRIBUTE_KEYS}
 _PLATFORMS_MESSAGE = "platforms must be a non-empty list of names"
+# Decodes one JSON value at the start of a string, skipping json.loads's
+# wrapper; see _fact_from_line.
+_raw_decode = json.JSONDecoder().raw_decode
 
 # The host of a lowercased URL: an optional "scheme://" and "userinfo@" are
 # skipped, and the host ends at a port, path, query or fragment.
@@ -81,10 +84,11 @@ class Corpus:
     Queries are answered from indexes that each key family builds on its
     first use and keeps: a corpus is read-only once loaded, so an index
     never goes stale.  A lock makes each build happen once even when
-    several threads ask at the same time.
+    several threads ask at the same time.  Each posting is a sorted tuple of
+    subject ids, and equal postings are one object in every family.
     """
 
-    __slots__ = ("_by_subject", "_indexes", "_index_lock")
+    __slots__ = ("_by_subject", "_indexes", "_index_lock", "_postings")
 
     def __init__(self, facts: Iterable[CorpusFact]) -> None:
         grouped: dict[str, list[CorpusFact]] = {}
@@ -94,8 +98,9 @@ class Corpus:
             subject: tuple(sorted(group, key=lambda f: (f.attribute, f.value, f.confidence)))
             for subject, group in sorted(grouped.items())
         }
-        self._indexes: dict[tuple, dict[str, list[str]]] = {}
+        self._indexes: dict[tuple, dict[str, Tuple[str, ...]]] = {}
         self._index_lock = threading.Lock()
+        self._postings: dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
     @property
     def subjects(self) -> Tuple[str, ...]:
@@ -107,33 +112,42 @@ class Corpus:
     def __len__(self) -> int:
         return sum(len(group) for group in self._by_subject.values())
 
-    def _index(self, key: tuple, build: Callable[[], dict]) -> dict[str, list[str]]:
+    def _index(self, key: tuple, build: Callable[[], dict]) -> dict[str, Tuple[str, ...]]:
         index = self._indexes.get(key)
         if index is None:
             with self._index_lock:
                 index = self._indexes.get(key)
                 if index is None:
-                    index = self._indexes[key] = build()
+                    index = self._indexes[key] = self._frozen(build())
+        return index
+
+    def _frozen(self, index: dict[str, list[str]]) -> dict[str, Tuple[str, ...]]:
+        """*index* with each posting list replaced, in place, by the shared
+        tuple of its subject ids, so no second copy of the lists is held.
+
+        Runs under ``_index_lock``, which also guards ``_postings``.
+        """
+        postings = self._postings
+        for key, ids in index.items():
+            ids = tuple(ids)
+            index[key] = postings.setdefault(ids, ids)
         return index
 
     def _matching_subjects(self, query: QueryInput) -> Sequence[str]:
-        """Ids of the subjects *query* matches, sorted (see :func:`corpus_collect`).
-
-        The result may be an index entry: callers must not mutate it.
-        """
+        """Ids of the subjects *query* matches, sorted (see :func:`corpus_collect`)."""
         kind = query.kind
         by_subject = self._by_subject
         if kind in (InputKind.EMAIL, InputKind.PHONE, InputKind.SOCIAL_HANDLE):
             attribute = hard_identifier_attribute(kind, query.platform)
             if attribute is None:
-                return []
+                return ()
             # Only a phone's canonical form depends on the region.
             region = query.region if attribute == "phone" else None
             index = self._index(
                 ("identifier", attribute, region),
                 lambda: _identifier_index(by_subject, attribute, query.region),
             )
-            return index.get(query.canonical, [])
+            return index.get(query.canonical, ())
         if kind in (InputKind.NAME, InputKind.KEYWORD):
             index = self._index(("name",), lambda: _name_index(by_subject))
             tokens = name_tokens(query.canonical)
@@ -152,10 +166,10 @@ class Corpus:
             ]
         if kind is InputKind.DOMAIN:
             index = self._index(("host",), lambda: _host_index(by_subject))
-            return index.get(query.canonical, [])
+            return index.get(query.canonical, ())
         # Image queries have no offline matching rule; a corpus-backed image
         # collector simply finds nothing.
-        return []
+        return ()
 
 
 def _add(index: dict[str, list[str]], key: str, subject_id: str) -> None:
@@ -176,7 +190,9 @@ def _identifier_index(
             if fact.attribute == attribute:
                 canonical = canonical_identifier(attribute, fact.value, region)
                 if canonical is not None:
-                    _add(index, canonical, subject_id)
+                    # The stored string, when it is already canonical, so
+                    # the key is not a second copy of it.
+                    _add(index, fact.value if canonical == fact.value else canonical, subject_id)
     return index
 
 
@@ -224,11 +240,20 @@ def _fact_from_line(
     line: str,
     platform_sets: dict[tuple, frozenset],
     subject_ids: dict[str, str],
+    confidences: dict[float, float],
 ) -> CorpusFact:
+    # A line that raw_decode takes whole is exactly what json.loads would
+    # return; anything else (surrounding whitespace, a BOM, trailing data,
+    # malformed JSON) goes to json.loads for its result or its own message.
     try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise CorpusParseError(line_number, f"not valid JSON ({exc.msg})") from exc
+        payload, end = _raw_decode(line)
+    except ValueError:
+        end = -1
+    if end != len(line):
+        try:
+            payload = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusParseError(line_number, f"not valid JSON ({exc.msg})") from exc
     if not isinstance(payload, dict):
         raise CorpusParseError(line_number, "fact must be a JSON object")
     if payload.keys() != _CORPUS_FIELDS:
@@ -267,14 +292,17 @@ def _fact_from_line(
         platform_set = platform_sets[key] = frozenset(platforms)
     if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
         raise CorpusParseError(line_number, "confidence must be a number")
-    if not 0.0 <= float(confidence) <= 1.0:
+    confidence = float(confidence)
+    if not 0.0 <= confidence <= 1.0:
         raise CorpusParseError(line_number, "confidence must be within [0, 1]")
+    if confidence:  # -0.0 == 0.0, so sharing a zero could flip its sign
+        confidence = confidences.setdefault(confidence, confidence)
     return CorpusFact(
         subject_id=subject_ids.setdefault(subject_id, subject_id),
         attribute=shared_attribute,
         value=value,
         platforms=platform_set,
-        confidence=float(confidence),
+        confidence=confidence,
     )
 
 
@@ -283,12 +311,14 @@ def load_corpus(path: str | Path) -> Corpus:
 
     A line ends in ``\\n`` or ``\\r\\n``; blank lines are skipped.  Repeated
     values are shared, not copied: facts with equal platform lists hold one
-    frozenset, and facts of one subject hold one ``subject_id`` string.
+    frozenset, facts of one subject hold one ``subject_id`` string, and
+    facts with equal non-zero confidences hold one float.
     """
     path = Path(path)
     facts = []
     platform_sets: dict[tuple, frozenset] = {}
     subject_ids: dict[str, str] = {}
+    confidences: dict[float, float] = {}
     try:
         with path.open(encoding="utf-8") as stream:
             for line_number, line in enumerate(stream, start=1):
@@ -296,7 +326,9 @@ def load_corpus(path: str | Path) -> Corpus:
                     continue
                 # Without its newline, so a JSON error reads as for the bare line.
                 facts.append(
-                    _fact_from_line(line_number, line.rstrip("\n"), platform_sets, subject_ids)
+                    _fact_from_line(
+                        line_number, line.rstrip("\n"), platform_sets, subject_ids, confidences
+                    )
                 )
     except OSError as exc:
         raise CorpusIOError(f"cannot read corpus {path}: {exc}") from exc

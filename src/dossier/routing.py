@@ -115,6 +115,8 @@ class CollectorDescriptor:
         object.__setattr__(self, "reliability", float(self.reliability))
         if not 0.0 <= self.reliability <= 1.0:
             raise ValueError(f"reliability must be within [0, 1]: {self.reliability}")
+        if self.http is not None and not isinstance(self.http, HttpCollectorConfig):
+            raise ValueError(f"http must be an HttpCollectorConfig or None: {self.http!r}")
 
     @property
     def backend(self) -> Backend:

@@ -1,8 +1,10 @@
 import json
+import math
 import random
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -169,32 +171,43 @@ class TestLoading:
     def test_repeated_values_are_shared(self, tmp_path):
         rows = small_rows() + [
             fact("s-b", "alias", "Bri", ["webmii", "maltego"]),
-            fact("s-a", "alias", "Al", ["webmii"]),
+            fact("s-a", "alias", "Al", ["webmii"], 0.8),
+            fact("s-a", "job_title", "clerk", ["webmii"], -0.0),
+            fact("s-b", "job_title", "clerk", ["webmii"], 0.0),
         ]
         corpus = load_corpus(write_jsonl(tmp_path / "c.jsonl", rows))
         facts = [f for subject in corpus.subjects for f in corpus.facts_for(subject)]
         shared = {}
         for corpus_fact in facts:
-            for name in ("platforms", "attribute", "subject_id"):
+            for name in ("platforms", "attribute", "subject_id", "confidence"):
                 value = getattr(corpus_fact, name)
-                shared.setdefault((name, value), set()).add(id(value))
+                if name != "confidence" or value:
+                    shared.setdefault((name, value), set()).add(id(value))
         assert all(len(ids) == 1 for ids in shared.values())
-        assert len(shared) == 5 + 4 + 2  # platform lists, attributes, subjects
+        # platform lists, attributes, subjects, non-zero confidences
+        assert len(shared) == 5 + 5 + 2 + 2
         assert not hasattr(facts[0], "__dict__")
+        # -0.0 == 0.0, but neither zero takes the other's sign.
+        signs = {f.subject_id: math.copysign(1.0, f.confidence) for f in facts if not f.confidence}
+        assert signs == {"s-a": -1.0, "s-b": 1.0}
 
 
 # Corpus files for the loader oracle: valid facts that repeat platform lists
-# and subject ids, int and float confidences, blank lines, "\n" or "\r\n"
-# line ends, and at most one malformed line.  Every line is ASCII-escaped
-# JSON, the only kind of file on which the oracle's line splitting is right.
+# and subject ids, int and float confidences (-0.0 and 0.0 among them),
+# spaces or tabs around a fact, blank lines, "\n" or "\r\n" line ends, and at
+# most one malformed line.  Every line is ASCII-escaped JSON, apart from a
+# leading U+FEFF, which str.splitlines does not split at: on such files the
+# oracle's line splitting is right.
 _valid_facts = st.builds(
     fact,
     st.sampled_from(["s-1", "s-2", "s-3"]) | st.text(min_size=1, max_size=4),
     st.sampled_from(sorted(ATTRIBUTE_KEYS)),
     st.text(max_size=6),
     st.lists(st.sampled_from(["maltego", "webmii", "pipl"]), min_size=1, max_size=3),
-    st.integers(0, 1) | st.floats(0, 1) | st.sampled_from([0.5, 0.95]),
+    st.integers(0, 1) | st.floats(0, 1) | st.sampled_from([0.5, 0.95, -0.0, 0.0]),
 ).map(json.dumps)
+_padding = st.sampled_from(["", " ", "\t", " \t "])
+_padded_facts = st.builds("{}{}{}".format, _padding, _valid_facts, _padding)
 
 
 def _mutated(mutate, line):
@@ -215,18 +228,22 @@ _malformed_lines = st.one_of(
             json.dumps(fact("s", "full_name", "x", ["webmii"])) + " {",
         ]
     ),
+    _valid_facts.map(lambda line: line + "x"),
+    _valid_facts.map(lambda line: "\ufeff" + line),
 )
 
 
 @st.composite
 def _corpus_files(draw):
-    lines = draw(st.lists(_valid_facts | st.sampled_from(["", "   ", "\t"]), max_size=12))
+    lines = draw(
+        st.lists(_valid_facts | _padded_facts | st.sampled_from(["", "   ", "\t"]), max_size=12)
+    )
     malformed = draw(st.none() | _malformed_lines)
     if malformed is not None:
         lines.insert(draw(st.integers(0, len(lines))), malformed)
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     final = draw(st.sampled_from(["", newline]))
-    return (newline.join(lines) + final if lines else "").encode("ascii")
+    return (newline.join(lines) + final if lines else "").encode("utf-8")
 
 
 def _loaded(loader, path):
@@ -234,10 +251,20 @@ def _loaded(loader, path):
         corpus = loader(path)
     except CorpusError as exc:
         return type(exc), exc.line_number, str(exc)
-    return [(subject, corpus.facts_for(subject)) for subject in corpus.subjects]
+    # The sign of each confidence too, since -0.0 == 0.0.
+    return [
+        (subject, [(f, math.copysign(1.0, f.confidence)) for f in corpus.facts_for(subject)])
+        for subject in corpus.subjects
+    ]
 
 
 @given(_corpus_files())
+@example(
+    "\n".join(
+        json.dumps(fact("s-1", "alias", "x", ["webmii"], confidence))
+        for confidence in (-0.0, 0.0, -0.0)
+    ).encode("ascii")
+)
 def test_streaming_load_equals_the_line_by_line_oracle(tmp_path_factory, data):
     """load_corpus builds the oracle's subjects and facts, or raises the same
     error class with the same line number and message."""
@@ -761,3 +788,45 @@ def test_a_warm_identifier_query_scans_no_corpus_fact(monkeypatch):
     records = corpus_collect(corpus, FakeCollector("c"), classify_input("USER1234@host34.example"))
     assert calls == 0
     assert {r.value for r in records} >= {"user1234@host34.example", "Given70 Surname1234"}
+
+
+def _build_every_index(corpus: Corpus) -> None:
+    """Build each family _synthetic_corpus has facts for: email, phone and
+    twitter identifiers, names and hosts."""
+    for raw in (
+        "user3@host3.example", "09876500003", "twitter:user3", "Given3 Surname3", "host3.example"
+    ):
+        assert corpus_collect(corpus, FakeCollector("c"), classify_input(raw))
+
+
+def test_postings_are_tuples_shared_between_families():
+    """Every posting is a tuple, and a subject that several families index
+    once each is one tuple object in all of them."""
+    corpus = _synthetic_corpus(200)
+    _build_every_index(corpus)
+    families = list(corpus._indexes.values())
+    assert len(families) == 5
+    assert all(type(ids) is tuple for index in families for ids in index.values())
+    # s00003 alone owns its email, phone, handle, surname token and URL host.
+    alone = [ids for index in families for ids in index.values() if ids == ("s00003",)]
+    assert len(alone) == 5
+    assert all(ids is alone[0] for ids in alone)
+
+
+# Bytes the indexes hold per posting on _synthetic_corpus(2000): 61.6 was
+# measured (Python 3.11) with postings as shared tuples, and the bound adds
+# 25%.  A fresh list per key holds ~115.
+MAX_INDEX_BYTES_PER_POSTING = 77
+
+
+def test_index_memory_per_posting_is_bounded():
+    corpus = _synthetic_corpus(2000)
+    tracemalloc.start()
+    try:
+        _build_every_index(corpus)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    postings = sum(len(ids) for index in corpus._indexes.values() for ids in index.values())
+    assert postings == 16000
+    assert held / postings <= MAX_INDEX_BYTES_PER_POSTING

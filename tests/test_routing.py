@@ -135,6 +135,8 @@ class TestRegistry:
             CollectorDescriptor(name="x", accepts=accepts("email"), reliability=1.5)
         with pytest.raises(ValueError):
             CollectorDescriptor(name="x", accepts=accepts("email"), reliability=True)
+        with pytest.raises(ValueError):
+            CollectorDescriptor(name="x", accepts=accepts("email"), http={"base": "http://h"})
 
     def test_accepts_unknown_column(self):
         with pytest.raises(KeyError):
