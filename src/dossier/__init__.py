@@ -20,20 +20,16 @@ from .aggregate import (
     resolve_candidates,
     visibility_score,
 )
-from .collect import (
-    CollectorOutcome,
+from .collect.adapters import fetch_http
+from .collect.corpus import (
     Corpus,
     CorpusFact,
-    ExecutionConfig,
-    OutcomeStatus,
-    RawRecord,
     bundled_corpus_path,
     corpus_collect,
-    execute_stack,
-    fetch_http,
     load_corpus,
-    make_fetcher,
 )
+from .collect.executor import execute_stack, make_fetcher
+from .collect.records import CollectorOutcome, ExecutionConfig, OutcomeStatus, RawRecord
 from .errors import DossierError
 from .inputs import (
     InputKind,

@@ -28,7 +28,12 @@ from .aggregate import (
 )
 from .collect.corpus import CorpusError, bundled_corpus_path, load_corpus
 from .collect.executor import execute_stack, make_fetcher
-from .collect.records import ExecutionConfig, OutcomeStatus
+from .collect.records import (
+    DEFAULT_MAX_PARALLEL,
+    DEFAULT_TIMEOUT_MS,
+    ExecutionConfig,
+    OutcomeStatus,
+)
 from .errors import DossierError
 from .inputs import (
     COUNTRY_CALLING_CODES,
@@ -67,8 +72,8 @@ class PipelineConfig:
     fmt: str = "md"
     registry_path: Optional[str] = None
     region: str = DEFAULT_REGION
-    timeout_ms: int = 5000
-    max_parallel: int = 8
+    timeout_ms: int = DEFAULT_TIMEOUT_MS
+    max_parallel: int = DEFAULT_MAX_PARALLEL
     min_relevance: float = DEFAULT_RELEVANCE_THRESHOLD
     include_unattributed: bool = False
     pin_timestamp: Optional[str] = None
@@ -92,8 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--registry", help="JSON registry overlay (add/disable collectors)")
     run.add_argument("--region", default=DEFAULT_REGION, help="default phone region")
-    run.add_argument("--timeout-ms", type=int, default=5000)
-    run.add_argument("--max-parallel", type=int, default=8)
+    run.add_argument("--timeout-ms", type=int, default=DEFAULT_TIMEOUT_MS)
+    run.add_argument("--max-parallel", type=int, default=DEFAULT_MAX_PARALLEL)
     run.add_argument("--min-relevance", type=float, default=DEFAULT_RELEVANCE_THRESHOLD)
     run.add_argument(
         "--include-unattributed",

@@ -17,7 +17,7 @@ import urllib.parse
 from ..errors import DossierError
 from ..inputs import QueryInput
 from ..routing import HttpCollectorConfig
-from .records import RawRecord
+from .records import DEFAULT_TIMEOUT_MS, RawRecord
 
 
 class AdapterError(DossierError):
@@ -108,7 +108,7 @@ def fetch_http(
     name: str,
     config: HttpCollectorConfig,
     query: QueryInput,
-    timeout_ms: int = 5000,
+    timeout_ms: int = DEFAULT_TIMEOUT_MS,
 ) -> list[RawRecord]:
     """Issue the collector's single templated request and map the response.
 
@@ -151,7 +151,7 @@ def fetch_http(
         raise ResponseMappingError(f"response from {url} exceeds {MAX_BODY_BYTES} bytes")
     try:
         payload = json.loads(body)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ResponseMappingError(f"response from {url} is not JSON") from exc
 
     records = []

@@ -244,16 +244,19 @@ def _fact_from_line(
 ) -> CorpusFact:
     # A line that raw_decode takes whole is exactly what json.loads would
     # return; anything else (surrounding whitespace, a BOM, trailing data,
-    # malformed JSON) goes to json.loads for its result or its own message.
+    # malformed JSON, nesting past the recursion limit) goes to json.loads
+    # for its result or its own message.
     try:
         payload, end = _raw_decode(line)
-    except ValueError:
+    except (ValueError, RecursionError):
         end = -1
     if end != len(line):
         try:
             payload = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CorpusParseError(line_number, f"not valid JSON ({exc.msg})") from exc
+        except RecursionError as exc:
+            raise CorpusParseError(line_number, "not valid JSON (nested too deeply)") from exc
     if not isinstance(payload, dict):
         raise CorpusParseError(line_number, "fact must be a JSON object")
     if payload.keys() != _CORPUS_FIELDS:

@@ -19,13 +19,19 @@ from ..inputs import QueryInput
 from ..routing import CollectorDescriptor
 from .adapters import fetch_http
 from .corpus import Corpus, corpus_collect
-from .records import CollectorOutcome, ExecutionConfig, OutcomeStatus, RawRecord
+from .records import (
+    DEFAULT_TIMEOUT_MS,
+    CollectorOutcome,
+    ExecutionConfig,
+    OutcomeStatus,
+    RawRecord,
+)
 
 # A fetcher produces the raw records for one (collector, query) pair.
 Fetcher = Callable[[CollectorDescriptor, QueryInput], Sequence[RawRecord]]
 
 
-def make_fetcher(corpus: Corpus, timeout_ms: int = 5000) -> Fetcher:
+def make_fetcher(corpus: Corpus, timeout_ms: int = DEFAULT_TIMEOUT_MS) -> Fetcher:
     """Dispatch each collector to its backend: the corpus or an HTTP endpoint."""
 
     def fetch(descriptor: CollectorDescriptor, query: QueryInput) -> Sequence[RawRecord]:
@@ -63,10 +69,14 @@ def execute_stack(
     most ``max_parallel`` at once, started in name order.  Outcomes come
     back sorted by collector name regardless of completion order.  A
     threaded collector still running ``per_collector_timeout_ms`` after it
-    started is reported as a timeout and abandoned: its fetch keeps running
-    on its daemon thread, which a fetch with a socket timeout of its own
-    (like the HTTP adapter) ends, but its slot is freed at once for the next
-    collector and its late result is discarded.
+    started is reported as a timeout and abandoned: its slot is freed at
+    once for the next collector and its late result is discarded.
+
+    The timeout bounds the slot and the outcome, not the abandoned thread:
+    its fetch keeps running on its daemon thread until the fetch returns.
+    The HTTP adapter's socket timeout limits each socket operation, not the
+    whole fetch, so a server that keeps sending a byte at a time keeps the
+    thread alive until the body is complete or capped (ROADMAP item 2).
     """
     if not collectors:
         raise ValueError("execute_stack needs at least one collector")

@@ -7,6 +7,11 @@ from enum import Enum
 from typing import Optional, Tuple
 
 
+# The run defaults: how long one collector may take, and how many run at once.
+DEFAULT_TIMEOUT_MS = 5000
+DEFAULT_MAX_PARALLEL = 8
+
+
 class OutcomeStatus(Enum):
     """Terminal state of one collector invocation."""
 
@@ -55,8 +60,8 @@ class CollectorOutcome:
 class ExecutionConfig:
     """Fan-out knobs for running a set of collectors."""
 
-    per_collector_timeout_ms: int = 5000
-    max_parallel: int = 8
+    per_collector_timeout_ms: int = DEFAULT_TIMEOUT_MS
+    max_parallel: int = DEFAULT_MAX_PARALLEL
 
     def __post_init__(self) -> None:
         if self.per_collector_timeout_ms <= 0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .aggregate import CandidateProfile, EvidenceRecord
@@ -35,24 +35,24 @@ class ReportTemplate:
 
     name: str
     sections: Tuple[Tuple[str, Tuple[str, ...]], ...]
+    # attribute -> the title of its section, built with the checks below.
+    _titles: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
+        titles: dict[str, str] = {}
         for title, attributes in self.sections:
             if not title:
                 raise ValueError("section titles must be non-empty")
             for attribute in attributes:
                 if attribute not in ATTRIBUTE_KEYS:
                     raise ValueError(f"unknown attribute key {attribute!r}")
-                if attribute in seen:
+                if attribute in titles:
                     raise ValueError(f"attribute {attribute!r} mapped twice")
-                seen.add(attribute)
+                titles[attribute] = title
+        object.__setattr__(self, "_titles", titles)
 
     def section_of(self, attribute: str) -> Optional[str]:
-        for title, attributes in self.sections:
-            if attribute in attributes:
-                return title
-        return None
+        return self._titles.get(attribute)
 
 
 _PLANS: dict[str, Tuple[Tuple[str, Tuple[str, ...]], ...]] = {
@@ -189,24 +189,6 @@ class Report:
         return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
 
-def _merge_facts(records: Sequence[EvidenceRecord]) -> list[RenderedFact]:
-    merged: dict[Tuple[str, str], dict] = {}
-    for record in records:
-        key = (record.attribute, record.value)
-        slot = merged.setdefault(key, {"sources": set(), "confidence": 0.0})
-        slot["sources"].add(record.source)
-        slot["confidence"] = max(slot["confidence"], record.confidence)
-    return [
-        RenderedFact(
-            attribute=attribute,
-            value=value,
-            sources=tuple(sorted(merged[(attribute, value)]["sources"])),
-            confidence=merged[(attribute, value)]["confidence"],
-        )
-        for attribute, value in sorted(merged)
-    ]
-
-
 def build_report(
     best: Optional[CandidateProfile],
     filtered: Sequence[EvidenceRecord],
@@ -222,21 +204,27 @@ def build_report(
     merge into one line with sources listed alphabetically.  Passing
     ``best=None`` (a run that found nothing) yields an empty-bodied report.
     """
-    by_section: dict[str, list[EvidenceRecord]] = {}
+    # A fact's section depends only on its attribute, so merging every
+    # (attribute, value) first and placing each merged fact after is the
+    # same as placing records and merging within each section.
+    sources: dict[Tuple[str, str], set[str]] = {}
+    confidence: dict[Tuple[str, str], float] = {}
     for record in filtered:
-        title = template.section_of(record.attribute) or UNMAPPED_SECTION
-        by_section.setdefault(title, []).append(record)
-
-    sections = []
-    for title, _ in template.sections:
-        records = by_section.pop(title, None)
-        if records:
-            sections.append(ReportSection(title=title, facts=tuple(_merge_facts(records))))
-    unmapped = by_section.pop(UNMAPPED_SECTION, None)
-    if unmapped:
-        sections.append(
-            ReportSection(title=UNMAPPED_SECTION, facts=tuple(_merge_facts(unmapped)))
-        )
+        key = (record.attribute, record.value)
+        sources.setdefault(key, set()).add(record.source)
+        confidence[key] = max(confidence.get(key, 0.0), record.confidence)
+    placed: dict[str, list[RenderedFact]] = {}
+    for key in sorted(sources):
+        attribute, value = key
+        title = template.section_of(attribute) or UNMAPPED_SECTION
+        fact = RenderedFact(attribute, value, tuple(sorted(sources[key])), confidence[key])
+        placed.setdefault(title, []).append(fact)
+    # pop: a title the template repeats, or names Unmapped Evidence, is shown once, first.
+    sections = tuple(
+        ReportSection(title=title, facts=tuple(placed.pop(title)))
+        for title in [*(title for title, _ in template.sections), UNMAPPED_SECTION]
+        if title in placed
+    )
 
     failures = tuple(
         CollectionFailure(
@@ -248,17 +236,12 @@ def build_report(
         if outcome.status is not OutcomeStatus.SUCCESS
     )
 
-    if best is None:
-        candidate = CandidateSummary(
-            visibility=0.0, match=0.0, cluster_size=0, rejected_candidates=rejected_count
-        )
-    else:
-        candidate = CandidateSummary(
-            visibility=best.visibility,
-            match=best.match,
-            cluster_size=len(best.records),
-            rejected_candidates=rejected_count,
-        )
+    candidate = CandidateSummary(
+        visibility=best.visibility if best is not None else 0.0,
+        match=best.match if best is not None else 0.0,
+        cluster_size=len(best.records) if best is not None else 0,
+        rejected_candidates=rejected_count,
+    )
 
     return Report(
         template=template.name,
@@ -269,7 +252,7 @@ def build_report(
             platform=query.platform.value if query.platform else None,
         ),
         candidate=candidate,
-        sections=tuple(sections),
+        sections=sections,
         failures=failures,
         generated_at=generated_at,
     )

@@ -275,7 +275,8 @@ def load_overlay(registry: Registry, path: str | Path) -> Registry:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise OverlayError(f"cannot read registry overlay {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError, UnicodeDecodeError, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise OverlayError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise OverlayError(f"{path}: overlay must be a JSON object")

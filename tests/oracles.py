@@ -188,6 +188,41 @@ def oracle_best_cluster(clusters, query_kind, canonical, platform, reliabilities
     return min(scored)[2]
 
 
+def oracle_report_body(best, filtered, template) -> tuple:
+    """Brute-force report body: place each record by scanning the template's
+    sections, then merge each section's records by (attribute, value).
+
+    Returns ``(sections, candidate)``: *sections* lists ``(title, facts)``
+    with each fact ``(attribute, value, sorted sources, highest
+    confidence)``, Unmapped Evidence last and empty sections left out;
+    *candidate* is ``(visibility, match, cluster size)``.
+    """
+    unmapped = "Unmapped Evidence"
+    placed: dict[str, list] = {}
+    for record in filtered:
+        title = unmapped
+        for section_title, attributes in template.sections:
+            if record.attribute in attributes:
+                title = section_title
+                break
+        placed.setdefault(title, []).append(record)
+    sections = []
+    for title in [section_title for section_title, _ in template.sections] + [unmapped]:
+        records = placed.pop(title, [])
+        if not records:
+            continue
+        facts = []
+        for key in sorted({(r.attribute, r.value) for r in records}):
+            group = [r for r in records if (r.attribute, r.value) == key]
+            facts.append(
+                (*key, tuple(sorted({r.source for r in group})), max(r.confidence for r in group))
+            )
+        sections.append((title, facts))
+    if best is None:
+        return sections, (0.0, 0.0, 0)
+    return sections, (best.visibility, best.match, len(best.records))
+
+
 # The host of a lowercased URL: an optional "scheme://" and "userinfo@" are
 # skipped, and the host ends at a port, path, query or fragment.
 _ORACLE_URL_HOST_RE = re.compile(r"(?:(?:[a-z][a-z0-9+.-]*:)?//)?(?:[^/?#@]*@)?([^/?#:]*)")
@@ -257,6 +292,8 @@ def _oracle_fact_from_line(line_number: int, line: str) -> CorpusFact:
         payload = json.loads(line)
     except json.JSONDecodeError as exc:
         raise CorpusParseError(line_number, f"not valid JSON ({exc.msg})") from exc
+    except RecursionError as exc:
+        raise CorpusParseError(line_number, "not valid JSON (nested too deeply)") from exc
     if not isinstance(payload, dict):
         raise CorpusParseError(line_number, "fact must be a JSON object")
     if set(payload) != _ORACLE_CORPUS_FIELDS:

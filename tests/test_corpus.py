@@ -162,6 +162,14 @@ class TestLoading:
         message = "line 4: not valid JSON (Unterminated string starting at)"
         assert errors[0] == errors[1] == (4, message)
 
+    def test_line_nested_past_the_recursion_limit_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(small_rows()[0]) + "\n" + "[" * 100_000 + "\n")
+        for loader in (load_corpus, oracle_load_corpus):
+            with pytest.raises(CorpusParseError) as exc_info:
+                loader(path)
+            assert str(exc_info.value) == "line 2: not valid JSON (nested too deeply)"
+
     def test_non_utf8_corpus_is_a_corpus_error(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_bytes(json.dumps(small_rows()[0]).encode() + b"\n\xff\n")

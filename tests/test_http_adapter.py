@@ -58,6 +58,8 @@ class StubHandler(BaseHTTPRequestHandler):
             self._reply({"error": "nope"}, status=500)
         elif self.path.startswith("/notjson"):
             self._reply(None, raw=b"this is not json")
+        elif self.path.startswith("/nested"):
+            self._reply(None, raw=b"[" * 100_000)
         elif self.path.startswith("/auth"):
             self._reply({"granted": self.headers.get("Authorization", "")})
         elif self.path.startswith("/redirected"):
@@ -175,6 +177,11 @@ class TestFetchHttp:
     def test_non_json_body(self, stub_server):
         cfg = config(stub_server, query_template="/notjson")
         with pytest.raises(ResponseMappingError):
+            fetch_http("svc", cfg, QUERY)
+
+    def test_body_nested_past_the_recursion_limit_is_not_json(self, stub_server):
+        cfg = config(stub_server, query_template="/nested")
+        with pytest.raises(ResponseMappingError, match="is not JSON"):
             fetch_http("svc", cfg, QUERY)
 
     def test_connection_refused_is_deterministic_network_error(self, closed_port):

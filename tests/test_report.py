@@ -2,10 +2,13 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dossier.aggregate import CandidateProfile
 from dossier.collect.records import CollectorOutcome, OutcomeStatus
 from dossier.inputs import classify_input
+from dossier.vocab import ATTRIBUTE_KEYS
 from dossier.report import (
     REPORT_FORMATS,
     TEMPLATE_NAMES,
@@ -18,6 +21,7 @@ from dossier.report import (
 )
 
 from conftest import make_record
+from oracles import oracle_report_body
 
 PINNED = "2020-01-01T00:00:00+00:00"
 
@@ -375,3 +379,56 @@ class TestRender:
             if baseline is None:
                 baseline = blobs
             assert blobs == baseline
+
+
+# Every attribute key: each template maps some and leaves the rest unmapped.
+_report_keys = st.tuples(st.sampled_from(sorted(ATTRIBUTE_KEYS)), st.sampled_from(["x", "y"]))
+_report_sources = st.sampled_from(["alpha", "beta", "gamma", "delta"])
+_report_confidences = st.sampled_from([0.0, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _report_inputs(draw):
+    """Filtered records in any order, one (attribute, value) from several
+    sources at equal or unequal confidences among them, and a best candidate
+    or none."""
+    records = [
+        make_record(attribute=attribute, value=value, source=source, confidence=confidence)
+        for (attribute, value), source, confidence in draw(
+            st.lists(st.tuples(_report_keys, _report_sources, _report_confidences), max_size=12)
+        )
+    ]
+    if draw(st.booleans()):
+        (attribute, value), equal = draw(_report_keys), draw(st.booleans())
+        shared = draw(_report_confidences)
+        for source in draw(st.lists(_report_sources, min_size=2, max_size=4, unique=True)):
+            confidence = shared if equal else draw(_report_confidences)
+            records.append(
+                make_record(attribute=attribute, value=value, source=source, confidence=confidence)
+            )
+    records = draw(st.permutations(records))
+    best = None
+    if records and draw(st.booleans()):
+        best = CandidateProfile(
+            cluster_id="c", records=tuple(records), visibility=draw(st.floats(0, 9)), match=0.5
+        )
+    return best, records
+
+
+@pytest.mark.parametrize("name", TEMPLATE_NAMES)
+@given(inputs=_report_inputs())
+@settings(max_examples=150, deadline=None)
+def test_build_report_matches_the_place_then_merge_oracle(name, inputs):
+    best, filtered = inputs
+    template = section_plan(name)
+    report = build_report(
+        best, filtered, template, [], 0, classify_input("nora@q.example"), PINNED
+    )
+    sections = [
+        (section.title, [(f.attribute, f.value, f.sources, f.confidence) for f in section.facts])
+        for section in report.sections
+    ]
+    candidate = report.candidate
+    assert (sections, (candidate.visibility, candidate.match, candidate.cluster_size)) == (
+        oracle_report_body(best, filtered, template)
+    )

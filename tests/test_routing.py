@@ -176,7 +176,10 @@ class TestHttpCollectorConfig:
 class TestOverlay:
     def write(self, tmp_path, payload) -> str:
         path = tmp_path / "overlay.json"
-        path.write_text(json.dumps(payload) if not isinstance(payload, str) else payload)
+        if isinstance(payload, bytes):
+            path.write_bytes(payload)
+        else:
+            path.write_text(json.dumps(payload) if not isinstance(payload, str) else payload)
         return str(path)
 
     def test_disable_and_redefine(self, registry, tmp_path):
@@ -251,6 +254,8 @@ class TestOverlay:
             {"add": [{"name": "x", "accepts": ["email"], "http": None}]},
             {"add": [{"name": "x", "accepts": ["email"]}, {"name": "x", "accepts": ["phone"]}]},
             {"disable": ["pipl", "pipl"]},
+            pytest.param("[" * 100_000, id="nested-past-the-recursion-limit"),
+            pytest.param(b'{"disable": ["\xff"]}', id="not-utf-8"),
         ],
     )
     def test_malformed_overlays_rejected(self, registry, tmp_path, payload):
