@@ -138,24 +138,19 @@ def dedup(records: Iterable[EvidenceRecord]) -> list[EvidenceRecord]:
     return [best[key] for key in sorted(best)]
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
+def _find(parent: list[int], index: int) -> int:
+    """Root of *index*, halving the path on the way (Tarjan & van Leeuwen)."""
+    while parent[index] != index:
+        parent[index] = parent[parent[index]]
+        index = parent[index]
+    return index
 
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
 
-    def find(self, index: int) -> int:
-        root = index
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[index] != root:
-            self.parent[index], index = root, self.parent[index]
-        return root
-
-    def union(self, left: int, right: int) -> None:
-        left_root, right_root = self.find(left), self.find(right)
-        if left_root != right_root:
-            self.parent[max(left_root, right_root)] = min(left_root, right_root)
+def _union(parent: list[int], left: int, right: int) -> None:
+    """Join two sets under the smaller root index."""
+    left, right = _find(parent, left), _find(parent, right)
+    if left != right:
+        parent[max(left, right)] = min(left, right)
 
 
 def resolve_candidates(records: Sequence[EvidenceRecord]) -> list[CandidateProfile]:
@@ -171,23 +166,25 @@ def resolve_candidates(records: Sequence[EvidenceRecord]) -> list[CandidateProfi
 
     The partition is independent of record order, and cluster ids are the
     lexicographic minimum of member record ids, so they are stable too.
+    Each profile's records are sorted by (attribute, value, source,
+    provenance, confidence).
     """
-    recs = list(records)
-    size = len(recs)
-    uf = _UnionFind(size)
+    recs = sorted(
+        records, key=lambda r: (r.attribute, r.value, r.source, r.provenance, r.confidence)
+    )
+    parent = list(range(len(recs)))
 
-    first_in_batch: dict[Tuple[str, str], int] = {}
-    first_with_id: dict[Tuple[str, str], int] = {}
+    # Tagged keys: a collector named like an attribute, with a provenance
+    # equal to an identifier value, is still not that identifier.
+    first_with_key: dict[Tuple[str, str, str], int] = {}
     for index, record in enumerate(recs):
-        batch_key = (record.source, record.provenance)
-        seen = first_in_batch.setdefault(batch_key, index)
+        seen = first_with_key.setdefault(("batch", record.source, record.provenance), index)
         if seen != index:
-            uf.union(seen, index)
+            _union(parent, seen, index)
         if record.attribute in HARD_IDENTIFIERS:
-            id_key = (record.attribute, record.value)
-            seen = first_with_id.setdefault(id_key, index)
+            seen = first_with_key.setdefault(("id", record.attribute, record.value), index)
             if seen != index:
-                uf.union(seen, index)
+                _union(parent, seen, index)
 
     # Soft name linking between identifier-free clusters, in one pass.
     # Merging only unions name sets and never adds a hard identifier, so
@@ -197,39 +194,29 @@ def resolve_candidates(records: Sequence[EvidenceRecord]) -> list[CandidateProfi
     # hard_roots moves.  Clusters holding the same set link at once (their
     # Jaccard is 1), and each pair of distinct sets is compared once.  A
     # token-free name overlaps nothing.
-    hard_roots = {uf.find(i) for i, r in enumerate(recs) if r.attribute in HARD_IDENTIFIERS}
+    hard_roots = {_find(parent, i) for i, r in enumerate(recs) if r.attribute in HARD_IDENTIFIERS}
     holders: dict[frozenset[str], int] = {}
     for index, record in enumerate(recs):
-        if record.attribute in NAME_ATTRIBUTES and uf.find(index) not in hard_roots:
+        if record.attribute in NAME_ATTRIBUTES and _find(parent, index) not in hard_roots:
             tokens = name_tokens(record.value)
             if tokens:
-                uf.union(holders.setdefault(tokens, index), index)
+                _union(parent, holders.setdefault(tokens, index), index)
     for (left, left_index), (right, right_index) in combinations(holders.items(), 2):
         if jaccard(left, right) >= NAME_MATCH_THRESHOLD:
-            uf.union(left_index, right_index)
+            _union(parent, left_index, right_index)
 
     groups: dict[int, list[EvidenceRecord]] = {}
     for index, record in enumerate(recs):
-        groups.setdefault(uf.find(index), []).append(record)
-    profiles = []
-    for members in groups.values():
-        group_records = sorted(
-            members,
-            key=lambda r: (r.attribute, r.value, r.source, r.provenance, r.confidence),
-        )
-        cluster_id = min(record.record_id for record in group_records)
-        profiles.append(CandidateProfile(cluster_id, tuple(group_records)))
-    # Canonical order even if two clusters share a content-addressed id
-    # (possible only for input that skipped dedup).
-    profiles.sort(
-        key=lambda p: (
-            p.cluster_id,
-            tuple(
-                (r.attribute, r.value, r.source, r.provenance, r.confidence)
-                for r in p.records
-            ),
-        )
-    )
+        groups.setdefault(_find(parent, index), []).append(record)
+    profiles = [
+        CandidateProfile(min(r.record_id for r in members), tuple(members))
+        for members in groups.values()
+    ]
+    # Groups come in the order of their first records.  Two clusters share
+    # a content-addressed id only for input that skipped dedup, and the
+    # stable sort keeps them in that order: their first records differ,
+    # since records with equal 5-tuples share a batch.
+    profiles.sort(key=lambda p: p.cluster_id)
     return profiles
 
 

@@ -117,27 +117,16 @@ def parse_args(argv: Sequence[str]) -> PipelineConfig:
     """
     parser = _build_parser()
     ns = parser.parse_args(argv)
-    if ns.timeout_ms <= 0:
-        parser.error("--timeout-ms must be positive")
-    if ns.max_parallel < 1:
-        parser.error("--max-parallel must be at least 1")
-    if not 0.0 <= ns.min_relevance <= 1.0:
-        parser.error("--min-relevance must be within [0, 1]")
     region = ns.region.strip().upper()
     if region not in COUNTRY_CALLING_CODES:
         parser.error(
             f"--region {ns.region!r} has no known dialing code "
             f"(one of {', '.join(sorted(COUNTRY_CALLING_CODES))})"
         )
-    if ns.pin_timestamp is not None:
-        try:
-            datetime.fromisoformat(ns.pin_timestamp.replace("Z", "+00:00"))
-        except ValueError:
-            parser.error(f"--pin-timestamp is not ISO 8601: {ns.pin_timestamp!r}")
     # "builtin" selects the bundled case-study corpus; a real file named
     # builtin can still be reached as ./builtin.
     corpus = ns.corpus if ns.corpus != "builtin" else str(bundled_corpus_path())
-    return PipelineConfig(
+    config = PipelineConfig(
         input_text=ns.input,
         corpus_path=corpus,
         out_path=ns.out,
@@ -152,6 +141,39 @@ def parse_args(argv: Sequence[str]) -> PipelineConfig:
         include_unattributed=ns.include_unattributed,
         pin_timestamp=ns.pin_timestamp,
     )
+    problem = _config_problem(config)
+    if problem is not None:
+        parser.error(problem)
+    return config
+
+
+def _config_problem(config: PipelineConfig) -> Optional[str]:
+    """Why *config* cannot run, or None when it can.
+
+    One set of checks for the CLI and library callers alike, on every value
+    but the input text, the paths and the region (``classify_input`` checks
+    that one).
+    """
+    if config.kind not in KIND_CHOICES:
+        return f"--kind {config.kind!r} is not one of {', '.join(sorted(KIND_CHOICES))}"
+    if config.template not in TEMPLATE_NAMES:
+        return f"--template {config.template!r} is not one of {', '.join(TEMPLATE_NAMES)}"
+    if config.fmt not in REPORT_FORMATS:
+        return f"--format {config.fmt!r} is not one of {', '.join(REPORT_FORMATS)}"
+    if not (isinstance(config.timeout_ms, int) and config.timeout_ms > 0):
+        return f"--timeout-ms must be a positive integer, not {config.timeout_ms!r}"
+    if not (isinstance(config.max_parallel, int) and config.max_parallel >= 1):
+        return f"--max-parallel must be an integer of at least 1, not {config.max_parallel!r}"
+    if not (
+        isinstance(config.min_relevance, (int, float)) and 0.0 <= config.min_relevance <= 1.0
+    ):
+        return f"--min-relevance must be within [0, 1], not {config.min_relevance!r}"
+    if config.pin_timestamp is not None:
+        try:
+            datetime.fromisoformat(config.pin_timestamp.replace("Z", "+00:00"))
+        except (AttributeError, ValueError):
+            return f"--pin-timestamp is not ISO 8601: {config.pin_timestamp!r}"
+    return None
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
@@ -174,6 +196,10 @@ def _write_atomic(path: Path, data: bytes) -> None:
 def run_pipeline(config: PipelineConfig) -> int:
     """Execute one profiling run; returns the process exit code."""
     err = sys.stderr
+    problem = _config_problem(config)
+    if problem is not None:
+        print(f"invalid config: {problem}", file=err)
+        return EXIT_USAGE
 
     registry = builtin_matrix()
     if config.registry_path is not None:

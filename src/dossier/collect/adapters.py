@@ -13,6 +13,7 @@ import json
 import os
 import urllib.error
 import urllib.parse
+from time import perf_counter
 
 from ..errors import DossierError
 from ..inputs import QueryInput
@@ -113,7 +114,11 @@ def fetch_http(
     """Issue the collector's single templated request and map the response.
 
     All records from one response share the request URL as their provenance
-    locator, marking them as one batch about one person.
+    locator, marking them as one batch about one person.  *timeout_ms*
+    bounds each socket operation and the whole fetch: once it has passed, the
+    next body read raises the ``Timeout`` :class:`NetworkError`, so a server
+    that sends a byte at a time holds the fetch for at most the timeout plus
+    one socket read.
     """
     import http.client
     import urllib.request
@@ -135,9 +140,19 @@ def fetch_http(
     if urllib.parse.urlsplit(url).scheme.lower() not in ("http", "https"):
         raise NetworkError(f"{config.method} {url} failed: not an http(s) URL")
     request = urllib.request.Request(url, method=config.method, headers=headers)
+    deadline = perf_counter() + timeout_ms / 1000.0
     try:
         with _opener().open(request, timeout=timeout_ms / 1000.0) as response:
-            body = response.read(MAX_BODY_BYTES + 1)
+            chunks, size = [], 0
+            while size <= MAX_BODY_BYTES:
+                if perf_counter() >= deadline:
+                    raise TimeoutError
+                chunk = response.read1(MAX_BODY_BYTES + 1 - size)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+                size += len(chunk)
+            body = b"".join(chunks)
     except urllib.error.HTTPError as exc:
         exc.close()
         raise BadStatusError(exc.code, url) from exc

@@ -70,13 +70,14 @@ def execute_stack(
     back sorted by collector name regardless of completion order.  A
     threaded collector still running ``per_collector_timeout_ms`` after it
     started is reported as a timeout and abandoned: its slot is freed at
-    once for the next collector and its late result is discarded.
+    once for the next collector and its late result is discarded.  An
+    outcome that finishes at or after that deadline is a timeout too, so a
+    fetch that gives up at its own deadline reads as a timeout, never as
+    an error, whichever of the two threads wakes first.
 
-    The timeout bounds the slot and the outcome, not the abandoned thread:
-    its fetch keeps running on its daemon thread until the fetch returns.
-    The HTTP adapter's socket timeout limits each socket operation, not the
-    whole fetch, so a server that keeps sending a byte at a time keeps the
-    thread alive until the body is complete or capped (ROADMAP item 2).
+    An abandoned fetch keeps its daemon thread until the fetch returns.
+    The HTTP adapter stops itself at its timeout, so that thread ends
+    within the timeout plus one socket read.
     """
     if not collectors:
         raise ValueError("execute_stack needs at least one collector")
@@ -95,6 +96,10 @@ def execute_stack(
 
     def target(index: int, descriptor: CollectorDescriptor, started: float) -> None:
         finished.put((index, _run(descriptor, query, fetch, started)))
+
+    def timed_out(name: str, elapsed_ms: float) -> CollectorOutcome:
+        detail = f"no response within {timeout_ms} ms"
+        return CollectorOutcome(name, OutcomeStatus.TIMEOUT, (), detail, elapsed_ms)
 
     while waiting or running:
         while waiting and len(running) < config.max_parallel:
@@ -115,13 +120,11 @@ def execute_stack(
             for index, (name, started) in list(running.items()):
                 if now - started >= timeout_s:
                     del running[index]
-                    detail = f"no response within {timeout_ms} ms"
-                    elapsed_ms = (now - started) * 1000.0
-                    outcomes.append(
-                        CollectorOutcome(name, OutcomeStatus.TIMEOUT, (), detail, elapsed_ms)
-                    )
+                    outcomes.append(timed_out(name, (now - started) * 1000.0))
             continue
         if running.pop(index, None) is not None:  # else: an abandoned collector's late result
+            if outcome.elapsed_ms >= timeout_ms:
+                outcome = timed_out(outcome.collector, outcome.elapsed_ms)
             outcomes.append(outcome)
     outcomes.sort(key=lambda outcome: outcome.collector)
     return outcomes

@@ -40,9 +40,15 @@ class ReportTemplate:
 
     def __post_init__(self) -> None:
         titles: dict[str, str] = {}
+        # Each section renders under its own heading, so no title may repeat
+        # or name the trailing section that takes unmapped facts.
+        taken = {UNMAPPED_SECTION}
         for title, attributes in self.sections:
             if not title:
                 raise ValueError("section titles must be non-empty")
+            if title in taken:
+                raise ValueError(f"section title {title!r} is repeated or reserved")
+            taken.add(title)
             for attribute in attributes:
                 if attribute not in ATTRIBUTE_KEYS:
                     raise ValueError(f"unknown attribute key {attribute!r}")
@@ -219,9 +225,8 @@ def build_report(
         title = template.section_of(attribute) or UNMAPPED_SECTION
         fact = RenderedFact(attribute, value, tuple(sorted(sources[key])), confidence[key])
         placed.setdefault(title, []).append(fact)
-    # pop: a title the template repeats, or names Unmapped Evidence, is shown once, first.
     sections = tuple(
-        ReportSection(title=title, facts=tuple(placed.pop(title)))
+        ReportSection(title=title, facts=tuple(placed[title]))
         for title in [*(title for title, _ in template.sections), UNMAPPED_SECTION]
         if title in placed
     )

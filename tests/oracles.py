@@ -5,7 +5,11 @@ explicit pairwise edges plus breadth-first components instead of union-find,
 text similarity is re-derived from scratch, and corpus matching is a linear
 scan over every subject instead of an index.  The one exception is the
 identity rule itself, ``inputs.canonical_identifier``, which the corpus scan
-calls because it defines what "the same identifier" means.  The corpus
+calls because it defines what "the same identifier" means.
+``reference_resolve_candidates`` is the other kind of reference: a frozen
+copy of an earlier ``aggregate.resolve_candidates`` (union-find, a per-cluster
+sort, a full-record profile sort), kept so that the package's full output,
+order included, can be compared against it.  The corpus
 loader oracle builds the package's own ``CorpusFact``, ``Corpus`` and error
 types, so that results and errors compare equal.  If the package and these
 oracles ever disagree, the package is wrong (or the contract changed).
@@ -21,6 +25,7 @@ import unicodedata
 from functools import lru_cache
 from pathlib import Path
 
+from dossier.aggregate import CandidateProfile
 from dossier.collect.corpus import (
     Corpus,
     CorpusFact,
@@ -134,6 +139,85 @@ def oracle_partition(records) -> list[list[int]]:
             if merged:
                 break
     return sorted(components)
+
+
+def _reference_record_id(record) -> str:
+    key = "\x1f".join((record.attribute, record.value, record.source))
+    return hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
+
+
+class _ReferenceUnionFind:
+    def __init__(self, size: int) -> None:
+        self.parent = list(range(size))
+
+    def find(self, index: int) -> int:
+        root = index
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[index] != root:
+            self.parent[index], index = root, self.parent[index]
+        return root
+
+    def union(self, left: int, right: int) -> None:
+        left_root, right_root = self.find(left), self.find(right)
+        if left_root != right_root:
+            self.parent[max(left_root, right_root)] = min(left_root, right_root)
+
+
+def reference_resolve_candidates(records) -> list:
+    """Candidate profiles exactly as an earlier ``resolve_candidates`` built
+    them: the same partition as :func:`oracle_partition`, each profile's
+    records sorted by (attribute, value, source, provenance, confidence),
+    cluster ids the minimum member record id, and profiles ordered by
+    (cluster id, record tuples) so that clusters sharing an id (possible only
+    for input that skipped dedup) still come out in one order."""
+    recs = list(records)
+    uf = _ReferenceUnionFind(len(recs))
+    first_in_batch: dict = {}
+    first_with_id: dict = {}
+    for index, record in enumerate(recs):
+        seen = first_in_batch.setdefault((record.source, record.provenance), index)
+        if seen != index:
+            uf.union(seen, index)
+        if record.attribute in HARD_ATTRS:
+            seen = first_with_id.setdefault((record.attribute, record.value), index)
+            if seen != index:
+                uf.union(seen, index)
+
+    hard_roots = {uf.find(i) for i, r in enumerate(recs) if r.attribute in HARD_ATTRS}
+    holders: dict = {}
+    for index, record in enumerate(recs):
+        if record.attribute in NAME_ATTRS and uf.find(index) not in hard_roots:
+            tokens = oracle_tokens(record.value)
+            if tokens:
+                uf.union(holders.setdefault(tokens, index), index)
+    token_sets = list(holders.items())
+    for x, (left, left_index) in enumerate(token_sets):
+        for right, right_index in token_sets[x + 1 :]:
+            if len(left & right) / len(left | right) >= 0.5:
+                uf.union(left_index, right_index)
+
+    groups: dict = {}
+    for index, record in enumerate(recs):
+        groups.setdefault(uf.find(index), []).append(record)
+    profiles = []
+    for members in groups.values():
+        group_records = sorted(
+            members,
+            key=lambda r: (r.attribute, r.value, r.source, r.provenance, r.confidence),
+        )
+        cluster_id = min(_reference_record_id(record) for record in group_records)
+        profiles.append(CandidateProfile(cluster_id, tuple(group_records)))
+    profiles.sort(
+        key=lambda p: (
+            p.cluster_id,
+            tuple(
+                (r.attribute, r.value, r.source, r.provenance, r.confidence)
+                for r in p.records
+            ),
+        )
+    )
+    return profiles
 
 
 def oracle_visibility(records, reliabilities) -> float:

@@ -24,7 +24,7 @@ from dossier.inputs import classify_input
 from dossier.routing import CollectorDescriptor, Registry, accepts, builtin_matrix
 
 from conftest import make_record
-from oracles import oracle_partition
+from oracles import oracle_partition, reference_resolve_candidates
 
 BUILTIN = builtin_matrix()
 
@@ -262,6 +262,14 @@ class TestResolve:
 
     def test_empty_input(self):
         assert resolve_candidates([]) == []
+
+    def test_collector_named_like_an_attribute_is_not_that_identifier(self):
+        # Batch (email, a@x.io) and identifier (email, a@x.io) are different links.
+        batch = make_record(
+            attribute="location", value="denver", source="email", provenance="a@x.io"
+        )
+        owner = make_record(attribute="email", value="a@x.io", source="s1", provenance="p1")
+        assert len(resolve_candidates([batch, owner])) == 2
 
     def test_initials_groups_of_one_surname_are_one_candidate_each(self):
         # 500 people, each "Given Lind" and "Given I. J. Lind" from two
@@ -560,6 +568,45 @@ def test_soft_linking_matches_brute_force_oracle_under_heavy_name_sharing(record
         for component in oracle_partition(records)
     )
     assert actual == expected
+
+
+# Full output (profile order, cluster ids, record tuples) against the frozen
+# reference: lists that skipped dedup, where one (attribute, value, source)
+# sits in two batches and two clusters can share an id, exact duplicates, a
+# collector named like an attribute, and provenances equal to identifiers.
+full_output_record = st.builds(
+    lambda av, source, provenance, confidence: EvidenceRecord(
+        av[0], av[1], source, confidence, provenance
+    ),
+    st.sampled_from(
+        (
+            ("email", "a@x.io"),
+            ("email", "b@x.io"),
+            ("phone", "+12025550101"),
+            ("full_name", "ann lee"),
+            ("alias", "ann"),
+            ("full_name", "bo kim"),
+            ("location", "denver"),
+        )
+    ),
+    st.sampled_from(("s1", "s2", "email")),
+    st.sampled_from(("b1", "b2", "b3", "a@x.io", "+12025550101")),
+    st.sampled_from((0.5, 0.9)),
+)
+
+
+@st.composite
+def undeduplicated_records(draw):
+    records = draw(st.lists(full_output_record, max_size=24))
+    if records:
+        records += draw(st.lists(st.sampled_from(records), max_size=4))
+    return draw(st.permutations(records))
+
+
+@given(undeduplicated_records())
+@settings(max_examples=200, deadline=None)
+def test_clustering_output_matches_the_reference_exactly(records):
+    assert resolve_candidates(records) == reference_resolve_candidates(records)
 
 
 @given(records_strategy, st.randoms(use_true_random=False))

@@ -331,6 +331,36 @@ class TestAtomicWrites:
         assert "no dialing code known for region 'ZZ'" in capsys.readouterr().err
         assert out.read_text() == "precious previous report"
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("kind", "fax"),
+            ("template", "wedding"),
+            ("fmt", "pdf"),
+            ("timeout_ms", 0),
+            ("max_parallel", 0),
+            ("min_relevance", 1.5),
+            ("pin_timestamp", "yesterday"),
+        ],
+    )
+    def test_library_run_with_a_bad_value_exits_2_before_reading_anything(
+        self, tmp_path, capsys, field, value
+    ):
+        # Neither file exists: reading either would exit 5, not 2.
+        out = tmp_path / "report.md"
+        out.write_text("precious previous report")
+        config = PipelineConfig(
+            input_text="John Smith",
+            corpus_path=str(tmp_path / "missing.jsonl"),
+            out_path=str(out),
+            registry_path=str(tmp_path / "missing.json"),
+            **{field: value},
+        )
+        assert run_pipeline(config) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("invalid config: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["report.md"]
+        assert out.read_text() == "precious previous report"
+
     def test_unwritable_output_exits_5_without_partial_file(
         self, john_smith_corpus, tmp_path, capsys
     ):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -18,7 +19,7 @@ from dossier.collect.adapters import (
 )
 from dossier.collect.executor import execute_stack, make_fetcher
 from dossier.collect.corpus import Corpus
-from dossier.collect.records import OutcomeStatus
+from dossier.collect.records import ExecutionConfig, OutcomeStatus
 from dossier.inputs import InputKind, QueryInput
 from dossier.routing import CollectorDescriptor, HttpCollectorConfig, accepts
 
@@ -70,6 +71,17 @@ class StubHandler(BaseHTTPRequestHandler):
             self.send_header("Location", "/redirected")
             self.send_header("Content-Length", "0")
             self.end_headers()
+        elif self.path.startswith("/drip"):
+            # One byte every 100 ms: every socket read succeeds, the body takes 5 s.
+            self.send_response(200)
+            self.send_header("Content-Length", "50")
+            self.end_headers()
+            try:
+                for _ in range(50):
+                    self.wfile.write(b" ")
+                    time.sleep(0.1)
+            except OSError:
+                pass  # the client gave up
         elif self.path.startswith("/big"):
             # a JSON document of exactly the requested number of bytes
             size = int(self.path.split("=", 1)[1])
@@ -267,6 +279,28 @@ def test_executor_absorbs_http_failures(closed_port):
     (outcome,) = execute_stack(QUERY, [dead], fetch)
     assert outcome.status is OutcomeStatus.ERROR
     assert outcome.error_detail.startswith("NetworkError:")
+
+
+def test_a_dripping_response_ends_its_thread_at_the_timeout(stub_server):
+    drip = CollectorDescriptor(
+        name="drip", accepts=accepts("email"), http=config(stub_server, query_template="/drip")
+    )
+    fetch = make_fetcher(Corpus([]), timeout_ms=300)
+
+    def collect_threads() -> int:
+        return sum(t.name == "collect-drip" for t in threading.enumerate())
+
+    before = collect_threads()
+    for _ in range(3):
+        (outcome,) = execute_stack(
+            QUERY, [drip], fetch, ExecutionConfig(per_collector_timeout_ms=300)
+        )
+        assert outcome.status is OutcomeStatus.TIMEOUT
+        assert outcome.error_detail == "no response within 300 ms"
+    deadline = time.monotonic() + 0.6  # twice the timeout
+    while collect_threads() > before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert collect_threads() == before
 
 
 def test_cli_import_pulls_in_no_http_library():

@@ -89,6 +89,10 @@ class TestSectionPlans:
             ReportTemplate(name="x", sections=(("A", ("shoe_size",)),))
         with pytest.raises(ValueError):
             ReportTemplate(name="x", sections=(("A", ("email",)), ("B", ("email",))))
+        with pytest.raises(ValueError):
+            ReportTemplate(name="x", sections=(("A", ("email",)), ("A", ("phone",))))
+        with pytest.raises(ValueError):
+            ReportTemplate(name="x", sections=(("Unmapped Evidence", ("url",)),))
 
 
 def sample_inputs():

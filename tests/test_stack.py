@@ -9,6 +9,8 @@ from dossier.collect.records import (
     OutcomeStatus,
     RawRecord,
 )
+from dossier.collect import executor
+from dossier.collect.adapters import NetworkError
 from dossier.collect.executor import execute_stack
 from dossier.inputs import InputKind, QueryInput
 from dossier.routing import CollectorDescriptor, HttpCollectorConfig, accepts
@@ -108,6 +110,27 @@ class TestExecuteStack:
         assert by_name["slow"].status is OutcomeStatus.TIMEOUT
         assert by_name["slow"].error_detail == "no response within 80 ms"
         assert by_name["quick"].status is OutcomeStatus.SUCCESS
+
+    def test_an_outcome_finished_at_its_deadline_is_a_timeout(self, monkeypatch):
+        # A fetch that gives up at its own deadline may report before the
+        # executor wakes for that deadline; it is still a timeout, not an
+        # error.  The executor's clock stands still, the collector thread's
+        # clock reads the deadline.
+        monkeypatch.setattr(
+            executor,
+            "perf_counter",
+            lambda: 105.0 if threading.current_thread().name.startswith("collect-") else 100.0,
+        )
+
+        def fetch(d, q):
+            raise NetworkError("GET http://unused.invalid failed: Timeout")
+
+        (outcome,) = execute_stack(
+            QUERY, [descriptor("late")], fetch, ExecutionConfig(per_collector_timeout_ms=5000)
+        )
+        assert outcome.status is OutcomeStatus.TIMEOUT
+        assert outcome.error_detail == "no response within 5000 ms"
+        assert outcome.elapsed_ms == 5000.0
 
     def test_timeouts_respect_the_parallel_bound(self):
         # Four hung collectors, two at a time, 200 ms budget each: the whole
