@@ -85,28 +85,40 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Build a profile report about one query from pluggable collectors.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    run = commands.add_parser("run", help="run the profiling pipeline once")
-    run.add_argument("--input", required=True, help="the query string")
-    run.add_argument("--kind", choices=sorted(KIND_CHOICES), default="auto")
-    run.add_argument("--template", choices=TEMPLATE_NAMES, default="employee")
-    run.add_argument("--format", dest="fmt", choices=REPORT_FORMATS, default="md")
+    # Each dest is a PipelineConfig field; an option left out is left out of
+    # the namespace too, so the field's default applies.
+    run = commands.add_parser(
+        "run", help="run the profiling pipeline once", argument_default=argparse.SUPPRESS
+    )
+    run.add_argument("--input", dest="input_text", required=True, help="the query string")
+    run.add_argument("--kind", choices=sorted(KIND_CHOICES))
+    run.add_argument("--template", choices=TEMPLATE_NAMES)
+    run.add_argument("--format", dest="fmt", choices=REPORT_FORMATS)
     run.add_argument(
         "--corpus",
+        dest="corpus_path",
         required=True,
+        # "builtin" selects the bundled case-study corpus; a real file named
+        # builtin can still be reached as ./builtin.
+        type=lambda path: str(bundled_corpus_path()) if path == "builtin" else path,
         help="line-delimited JSON fact corpus, or 'builtin' for the bundled one",
     )
-    run.add_argument("--registry", help="JSON registry overlay (add/disable collectors)")
-    run.add_argument("--region", default=DEFAULT_REGION, help="default phone region")
-    run.add_argument("--timeout-ms", type=int, default=DEFAULT_TIMEOUT_MS)
-    run.add_argument("--max-parallel", type=int, default=DEFAULT_MAX_PARALLEL)
-    run.add_argument("--min-relevance", type=float, default=DEFAULT_RELEVANCE_THRESHOLD)
+    run.add_argument(
+        "--registry",
+        dest="registry_path",
+        help="JSON registry overlay (add/disable collectors)",
+    )
+    run.add_argument("--region", type=lambda s: s.strip().upper(), help="default phone region")
+    run.add_argument("--timeout-ms", type=int)
+    run.add_argument("--max-parallel", type=int)
+    run.add_argument("--min-relevance", type=float)
     run.add_argument(
         "--include-unattributed",
         action="store_true",
         help="also report discounted evidence from outside the chosen cluster",
     )
     run.add_argument("--pin-timestamp", help="ISO 8601 timestamp for reproducible output")
-    run.add_argument("--out", required=True, help="report file path")
+    run.add_argument("--out", dest="out_path", required=True, help="report file path")
     return parser
 
 
@@ -116,31 +128,9 @@ def parse_args(argv: Sequence[str]) -> PipelineConfig:
     Invalid flags or values exit with code 2 (argparse behaviour).
     """
     parser = _build_parser()
-    ns = parser.parse_args(argv)
-    region = ns.region.strip().upper()
-    if region not in COUNTRY_CALLING_CODES:
-        parser.error(
-            f"--region {ns.region!r} has no known dialing code "
-            f"(one of {', '.join(sorted(COUNTRY_CALLING_CODES))})"
-        )
-    # "builtin" selects the bundled case-study corpus; a real file named
-    # builtin can still be reached as ./builtin.
-    corpus = ns.corpus if ns.corpus != "builtin" else str(bundled_corpus_path())
-    config = PipelineConfig(
-        input_text=ns.input,
-        corpus_path=corpus,
-        out_path=ns.out,
-        kind=ns.kind,
-        template=ns.template,
-        fmt=ns.fmt,
-        registry_path=ns.registry,
-        region=region,
-        timeout_ms=ns.timeout_ms,
-        max_parallel=ns.max_parallel,
-        min_relevance=ns.min_relevance,
-        include_unattributed=ns.include_unattributed,
-        pin_timestamp=ns.pin_timestamp,
-    )
+    fields = vars(parser.parse_args(argv))
+    del fields["command"]
+    config = PipelineConfig(**fields)
     problem = _config_problem(config)
     if problem is not None:
         parser.error(problem)
@@ -151,8 +141,8 @@ def _config_problem(config: PipelineConfig) -> Optional[str]:
     """Why *config* cannot run, or None when it can.
 
     One set of checks for the CLI and library callers alike, on every value
-    but the input text, the paths and the region (``classify_input`` checks
-    that one).
+    but the input text and the paths; ``ExecutionConfig`` holds the timeout
+    and parallelism rules.
     """
     if config.kind not in KIND_CHOICES:
         return f"--kind {config.kind!r} is not one of {', '.join(sorted(KIND_CHOICES))}"
@@ -160,10 +150,14 @@ def _config_problem(config: PipelineConfig) -> Optional[str]:
         return f"--template {config.template!r} is not one of {', '.join(TEMPLATE_NAMES)}"
     if config.fmt not in REPORT_FORMATS:
         return f"--format {config.fmt!r} is not one of {', '.join(REPORT_FORMATS)}"
-    if not (isinstance(config.timeout_ms, int) and config.timeout_ms > 0):
-        return f"--timeout-ms must be a positive integer, not {config.timeout_ms!r}"
-    if not (isinstance(config.max_parallel, int) and config.max_parallel >= 1):
-        return f"--max-parallel must be an integer of at least 1, not {config.max_parallel!r}"
+    region = config.region
+    if not (isinstance(region, str) and region.strip().upper() in COUNTRY_CALLING_CODES):
+        known = ", ".join(sorted(COUNTRY_CALLING_CODES))
+        return f"--region {region!r} has no known dialing code (one of {known})"
+    try:
+        ExecutionConfig(config.timeout_ms, config.max_parallel)
+    except ValueError as exc:
+        return str(exc)
     if not (
         isinstance(config.min_relevance, (int, float)) and 0.0 <= config.min_relevance <= 1.0
     ):
@@ -283,10 +277,9 @@ def run_pipeline(config: PipelineConfig) -> int:
         print(f"cannot write report {out_path}: {exc}", file=err)
         return EXIT_FILE_ERROR
 
-    cluster_size = len(best.records) if best is not None else 0
-    match = best.match if best is not None else 0.0
     print(
-        f"wrote {out_path}: cluster size {cluster_size}, match {match:.4f}, "
+        f"wrote {out_path}: cluster size {report.candidate.cluster_size}, "
+        f"match {report.candidate.match:.4f}, "
         f"collectors {len(succeeded)} ok / {len(failed)} failed"
     )
     return EXIT_OK

@@ -42,11 +42,14 @@ class ResponseMappingError(AdapterError):
 
 
 class MissingCredentialError(AdapterError):
-    """The configured credential environment variable is not set."""
+    """The configured credential environment variable is not set, or holds no
+    bearer token."""
 
 
 # A longer response body is refused rather than read into memory.
 MAX_BODY_BYTES = 1 << 20
+# RFC 6750 b64token: 1*( ALPHA / DIGIT / "-" / "." / "_" / "~" / "+" / "/" ) *"="
+_B64TOKEN_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-._~+/")
 
 
 @functools.cache
@@ -134,6 +137,14 @@ def fetch_http(
         if credential is None:
             raise MissingCredentialError(
                 f"collector {name!r} expects credentials in ${config.credential_env}"
+            )
+        # Any other value is refused before a request is made: http.client
+        # quotes a header it refuses in its error, which would put the
+        # credential into the report.
+        token = credential.rstrip("=")
+        if not token or not _B64TOKEN_CHARS.issuperset(token):
+            raise MissingCredentialError(
+                f"collector {name!r}: ${config.credential_env} is not an RFC 6750 bearer token"
             )
         headers["Authorization"] = f"Bearer {credential}"
     # urllib would also open file:, ftp: and data: URLs; a collector only speaks HTTP.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
@@ -10,6 +11,8 @@ from typing import Optional, Tuple
 # The run defaults: how long one collector may take, and how many run at once.
 DEFAULT_TIMEOUT_MS = 5000
 DEFAULT_MAX_PARALLEL = 8
+# The executor waits on a queue, which refuses a longer wait than this.
+MAX_TIMEOUT_MS = int(threading.TIMEOUT_MAX * 1000)
 
 
 class OutcomeStatus(Enum):
@@ -64,7 +67,9 @@ class ExecutionConfig:
     max_parallel: int = DEFAULT_MAX_PARALLEL
 
     def __post_init__(self) -> None:
-        if self.per_collector_timeout_ms <= 0:
-            raise ValueError("per_collector_timeout_ms must be positive")
-        if self.max_parallel < 1:
-            raise ValueError("max_parallel must be at least 1")
+        # type() refuses a bool, which is an int but no count.
+        timeout_ms, parallel = self.per_collector_timeout_ms, self.max_parallel
+        if type(timeout_ms) is not int or not 0 < timeout_ms <= MAX_TIMEOUT_MS:
+            raise ValueError(f"timeout must be 1 to {MAX_TIMEOUT_MS} ms, not {timeout_ms!r}")
+        if type(parallel) is not int or parallel < 1:
+            raise ValueError(f"max parallel must be an integer of at least 1, not {parallel!r}")

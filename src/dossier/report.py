@@ -263,6 +263,13 @@ def build_report(
     )
 
 
+def _one_line(text: str) -> str:
+    """*text* with CR and LF shown as ``\\r`` and ``\\n``, so it stays one line."""
+    if "\n" in text or "\r" in text:
+        return text.replace("\r", "\\r").replace("\n", "\\n")
+    return text
+
+
 def _render_markdown(report: Report) -> str:
     query_bits = f"kind={report.query.kind}"
     if report.query.platform:
@@ -294,7 +301,9 @@ def _render_markdown(report: Report) -> str:
         lines.append("")
         for failure in report.failures:
             lines.append(f"- {failure.collector}: {failure.status} ({failure.detail})")
-    return "\n".join(lines) + "\n"
+    # Each entry is one line of the template; a line break inside a value,
+    # a name or a detail must not start a heading or an item of its own.
+    return "\n".join(map(_one_line, lines)) + "\n"
 
 
 def _render_csv(report: Report) -> str:

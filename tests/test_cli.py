@@ -328,7 +328,7 @@ class TestAtomicWrites:
             region="ZZ",
         )
         assert run_pipeline(config) == EXIT_USAGE
-        assert "no dialing code known for region 'ZZ'" in capsys.readouterr().err
+        assert "--region 'ZZ' has no known dialing code" in capsys.readouterr().err
         assert out.read_text() == "precious previous report"
 
     @pytest.mark.parametrize(
@@ -360,6 +360,69 @@ class TestAtomicWrites:
         assert capsys.readouterr().err.startswith("invalid config: ")
         assert [p.name for p in tmp_path.iterdir()] == ["report.md"]
         assert out.read_text() == "precious previous report"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("region", "ZZ"),
+            ("region", None),
+            ("timeout_ms", 10_000_000_000_000),
+            ("timeout_ms", True),
+            ("max_parallel", True),
+        ],
+    )
+    def test_library_run_refuses_what_the_cli_refuses_before_reading_anything(
+        self, tmp_path, capsys, field, value
+    ):
+        # Neither file exists: reading either would exit 5, not 2.
+        out = tmp_path / "report.md"
+        config = PipelineConfig(
+            input_text="John Smith",
+            corpus_path=str(tmp_path / "missing.jsonl"),
+            out_path=str(out),
+            registry_path=str(tmp_path / "missing.json"),
+            **{field: value},
+        )
+        assert run_pipeline(config) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("invalid config: ")
+        assert repr(value) in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_timeout_past_the_wait_limit_exits_2_without_a_traceback(
+        self, john_smith_corpus, tmp_path, capsys
+    ):
+        overlay = tmp_path / "overlay.json"
+        dead = {
+            "name": "deademail",
+            "accepts": ["email"],
+            "backend": "http",
+            "http": {"base": f"http://127.0.0.1:{closed_port()}", "query_template": "/q"},
+        }
+        overlay.write_text(json.dumps({"add": [dead]}))
+        out = tmp_path / "report.md"
+        argv = run_args(
+            john_smith_corpus,
+            out,
+            "--input",
+            "john.smith@beta.example",
+            "--registry",
+            str(overlay),
+            "--timeout-ms",
+            "10000000000000",
+        )
+        assert main(argv) == EXIT_USAGE
+        assert "not 10000000000000" in capsys.readouterr().err
+        config = PipelineConfig(
+            input_text="john.smith@beta.example",
+            corpus_path=john_smith_corpus,
+            out_path=str(out),
+            registry_path=str(overlay),
+            timeout_ms=10_000_000_000_000,
+        )
+        assert run_pipeline(config) == EXIT_USAGE
+        assert "not 10000000000000" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_output_exits_5_without_partial_file(
         self, john_smith_corpus, tmp_path, capsys
@@ -575,4 +638,76 @@ class TestPipelineBehaviour:
         text = out.read_text()
         assert "- Candidate: 0 facts" in text
         assert "##" not in text  # no sections at all
+        capsys.readouterr()
+
+
+class TestReportSafety:
+    def test_a_bearer_credential_never_reaches_a_report(
+        self, john_smith_corpus, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("SVC_TOKEN", "s3cr3t-token\n")
+        overlay = tmp_path / "overlay.json"
+        svc = {
+            "name": "svc",
+            "accepts": ["email"],
+            "backend": "http",
+            "http": {
+                "base": f"http://127.0.0.1:{closed_port()}",
+                "query_template": "/q?v={value}",
+                "credential_env": "SVC_TOKEN",
+            },
+        }
+        overlay.write_text(json.dumps({"add": [svc]}))
+        for fmt in ("md", "json", "csv"):
+            out = tmp_path / f"r.{fmt}"
+            argv = run_args(
+                john_smith_corpus, out, "--input", "john.smith@beta.example",
+                "--registry", str(overlay), "--format", fmt,
+            )
+            assert main(argv) == EXIT_OK
+            rendered = out.read_text()
+            assert "s3cr3t" not in rendered
+            assert "Bearer" not in rendered
+        assert (
+            "- svc: error (MissingCredentialError: collector 'svc': "
+            "$SVC_TOKEN is not an RFC 6750 bearer token)"
+        ) in (tmp_path / "r.md").read_text()
+        assert "s3cr3t" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("where", ["value", "collector name", "fetch error"])
+    def test_markdown_line_breaks_stay_inside_their_item(self, tmp_path, capsys, where):
+        """A line break in a value, a collector name or a fetch error moves
+        no heading and adds no item: the headings are the template's."""
+        forged = "\n\n## Criminal Record\n\n- criminal_record: forged"
+        value_tail, name_tail, error_tail = (
+            forged if where == case else "" for case in ("value", "collector name", "fetch error")
+        )
+        rows = [
+            fact("s-a", "email", "ann@x.org", ["pipl", "evil" + name_tail]),
+            fact("s-a", "full_name", "Ann Lee" + value_tail, ["pipl"]),
+        ]
+        dead = {
+            "name": "dead" + name_tail,
+            "accepts": ["email"],
+            "backend": "http",
+            "http": {"base": f"http://127.0.0.1:{closed_port()}/q{error_tail}"},
+        }
+        evil = {"name": "evil" + name_tail, "accepts": ["email"], "backend": "corpus"}
+        overlay = tmp_path / "overlay.json"
+        overlay.write_text(json.dumps({"add": [dead, evil]}))
+        out = tmp_path / "r.md"
+        argv = run_args(
+            write_jsonl(tmp_path / "ann.jsonl", rows), out, "--input", "ann@x.org",
+            "--registry", str(overlay), "--timeout-ms", "2000",
+        )
+        assert main(argv) == EXIT_OK
+        lines = out.read_text(encoding="utf-8").split("\n")
+        assert [line for line in lines if line.startswith("#")] == [
+            "# Profile report: ann@x.org",
+            "## Bio",
+            "## Contact Details",
+            "## Collection failures",
+        ]
+        assert not any(line.startswith("- criminal_record") for line in lines)
+        assert "\\n\\n## Criminal Record\\n\\n- criminal_record: forged" in out.read_text()
         capsys.readouterr()

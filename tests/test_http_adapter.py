@@ -221,6 +221,35 @@ class TestFetchHttp:
         with pytest.raises(MissingCredentialError):
             fetch_http("svc", cfg, QUERY)
 
+    @pytest.mark.parametrize("credential", ["s3cr3t-token\n", "", "s3cr3t token", "s3cr3t=x"])
+    def test_credential_that_is_no_bearer_token_blocks_request(
+        self, closed_port, monkeypatch, credential
+    ):
+        # http.client would refuse the first as a header and quote it in its error.
+        monkeypatch.setenv("SVC_TOKEN", credential)
+        cfg = config(
+            f"http://127.0.0.1:{closed_port}",
+            query_template="/x",
+            credential_env="SVC_TOKEN",
+        )
+        with pytest.raises(MissingCredentialError, match=r"\$SVC_TOKEN is not"):
+            fetch_http("svc", cfg, QUERY)
+        svc = CollectorDescriptor(name="svc", accepts=accepts("email"), http=cfg)
+        (outcome,) = execute_stack(QUERY, [svc], make_fetcher(Corpus([])))
+        assert "s3cr3t" not in outcome.error_detail
+        assert "Bearer" not in outcome.error_detail
+
+    def test_padded_bearer_token_sent(self, stub_server, monkeypatch):
+        monkeypatch.setenv("SVC_TOKEN", "a-Z.0_9~+/b==")
+        cfg = config(
+            stub_server,
+            query_template="/auth",
+            response_mapping={"granted": "breach"},
+            credential_env="SVC_TOKEN",
+        )
+        (record,) = fetch_http("svc", cfg, QUERY)
+        assert record.value == "Bearer a-Z.0_9~+/b=="
+
     def test_bearer_credential_sent(self, stub_server, monkeypatch):
         monkeypatch.setenv("SVC_TOKEN", "sekrit")
         cfg = config(

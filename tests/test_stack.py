@@ -63,6 +63,14 @@ class TestValueTypes:
             ExecutionConfig(per_collector_timeout_ms=0)
         with pytest.raises(ValueError):
             ExecutionConfig(max_parallel=0)
+        # Past threading.TIMEOUT_MAX seconds, a bool, or no integer at all.
+        for timeout_ms in (10_000_000_000_000, 10**400, True, 1.5):
+            with pytest.raises(ValueError, match=repr(timeout_ms)):
+                ExecutionConfig(per_collector_timeout_ms=timeout_ms)
+        for max_parallel in (True, 1.5):
+            with pytest.raises(ValueError, match=repr(max_parallel)):
+                ExecutionConfig(max_parallel=max_parallel)
+        ExecutionConfig(per_collector_timeout_ms=int(threading.TIMEOUT_MAX * 1000))
 
 
 class TestExecuteStack:
