@@ -141,9 +141,12 @@ def _config_problem(config: PipelineConfig) -> Optional[str]:
     """Why *config* cannot run, or None when it can.
 
     One set of checks for the CLI and library callers alike, on every value
-    but the input text and the paths; ``ExecutionConfig`` holds the timeout
-    and parallelism rules.
+    but the paths, whose files are checked as they are read; only the input
+    text's type is checked here, and ``classify_input`` reads its content.
+    ``ExecutionConfig`` holds the timeout and parallelism rules.
     """
+    if not isinstance(config.input_text, str):
+        return f"--input must be a string, not {config.input_text!r}"
     if config.kind not in KIND_CHOICES:
         return f"--kind {config.kind!r} is not one of {', '.join(sorted(KIND_CHOICES))}"
     if config.template not in TEMPLATE_NAMES:
@@ -158,10 +161,15 @@ def _config_problem(config: PipelineConfig) -> Optional[str]:
         ExecutionConfig(config.timeout_ms, config.max_parallel)
     except ValueError as exc:
         return str(exc)
+    min_relevance = config.min_relevance
     if not (
-        isinstance(config.min_relevance, (int, float)) and 0.0 <= config.min_relevance <= 1.0
+        isinstance(min_relevance, (int, float))
+        and not isinstance(min_relevance, bool)
+        and 0.0 <= min_relevance <= 1.0
     ):
-        return f"--min-relevance must be within [0, 1], not {config.min_relevance!r}"
+        return f"--min-relevance must be within [0, 1], not {min_relevance!r}"
+    if not isinstance(config.include_unattributed, bool):
+        return f"--include-unattributed must be True or False, not {config.include_unattributed!r}"
     if config.pin_timestamp is not None:
         try:
             datetime.fromisoformat(config.pin_timestamp.replace("Z", "+00:00"))

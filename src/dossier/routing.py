@@ -112,7 +112,12 @@ class CollectorDescriptor:
             raise ValueError(f"collector {self.name!r} accepts nothing")
         if isinstance(self.reliability, bool) or not isinstance(self.reliability, (int, float)):
             raise ValueError(f"reliability must be a number: {self.reliability!r}")
-        object.__setattr__(self, "reliability", float(self.reliability))
+        try:
+            object.__setattr__(self, "reliability", float(self.reliability))
+        except OverflowError as exc:
+            raise ValueError(
+                "reliability must be within [0, 1]: an integer too large for a float"
+            ) from exc
         if not 0.0 <= self.reliability <= 1.0:
             raise ValueError(f"reliability must be within [0, 1]: {self.reliability}")
         if self.http is not None and not isinstance(self.http, HttpCollectorConfig):

@@ -5,8 +5,13 @@ import socket
 import sys
 
 import pytest
+from hypothesis import settings
 
 from dossier import EvidenceRecord, Registry, builtin_matrix
+
+# A longer search for one property at a time, selected with
+# `--hypothesis-profile=thorough`; the default profile is unchanged.
+settings.register_profile("thorough", max_examples=2000)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -376,6 +376,8 @@ def _oracle_fact_from_line(line_number: int, line: str) -> CorpusFact:
         payload = json.loads(line)
     except json.JSONDecodeError as exc:
         raise CorpusParseError(line_number, f"not valid JSON ({exc.msg})") from exc
+    except ValueError as exc:  # an integer past int's digit limit
+        raise CorpusParseError(line_number, f"not valid JSON ({exc})") from exc
     except RecursionError as exc:
         raise CorpusParseError(line_number, "not valid JSON (nested too deeply)") from exc
     if not isinstance(payload, dict):
@@ -409,29 +411,34 @@ def _oracle_fact_from_line(line_number: int, line: str) -> CorpusFact:
         raise CorpusParseError(line_number, "platforms must be a non-empty list of names")
     if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
         raise CorpusParseError(line_number, "confidence must be a number")
-    if not 0.0 <= float(confidence) <= 1.0:
+    try:
+        confidence = float(confidence)
+    except OverflowError as exc:
+        raise CorpusParseError(line_number, "confidence must be within [0, 1]") from exc
+    if not 0.0 <= confidence <= 1.0:
         raise CorpusParseError(line_number, "confidence must be within [0, 1]")
     return CorpusFact(
         subject_id=subject_id,
         attribute=attribute,
         value=value,
         platforms=frozenset(platforms),
-        confidence=float(confidence),
+        confidence=confidence,
     )
 
 
 def oracle_load_corpus(path) -> Corpus:
     """The corpus loader before streaming: the whole file read as text, split
-    with ``str.splitlines`` and validated line by line, with no value shared
-    between facts.  It still splits at U+2028, U+2029 and U+0085, and lets a
-    ``UnicodeDecodeError`` out, so it is a reference only for ASCII files."""
+    at each ``"\\n"`` (``read_text`` has already turned ``"\\r\\n"`` into one)
+    and validated line by line with ``json.loads``, with no value shared
+    between facts.  It lets a ``UnicodeDecodeError`` out, so it is a
+    reference only for UTF-8 files."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise CorpusIOError(f"cannot read corpus {path}: {exc}") from exc
     facts = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
+    for line_number, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         facts.append(_oracle_fact_from_line(line_number, line))

@@ -212,6 +212,27 @@ class TestExitCodes:
         assert code == EXIT_FILE_ERROR
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "digits, message",
+        [
+            # Too large for a float; and past int's digit limit, which JSON refuses.
+            (401, "line 1: confidence must be within [0, 1]"),
+            (5001, "line 1: not valid JSON (Exceeds the limit"),
+        ],
+        ids=["too-large-for-a-float", "past-the-digit-limit"],
+    )
+    def test_huge_integer_confidence_exits_5_without_a_report(
+        self, tmp_path, capsys, digits, message
+    ):
+        corpus = tmp_path / "huge.jsonl"
+        line = json.dumps(fact("s", "full_name", "Ann Lee", ["webmii"], 0.5))
+        corpus.write_text(line.replace("0.5", "1" + "0" * (digits - 1)) + "\n")
+        out = tmp_path / "r.md"
+        code = main(run_args(corpus, out, "--input", "Ann Lee"))
+        assert code == EXIT_FILE_ERROR
+        assert capsys.readouterr().err.startswith(f"corpus error: {message}")
+        assert not out.exists()
+
     def test_non_utf8_corpus_exits_5_without_a_report(self, tmp_path, capsys):
         corpus = tmp_path / "bad.jsonl"
         corpus.write_bytes(b"\xff\n")
@@ -261,6 +282,29 @@ class TestExitCodes:
         )
         assert code == EXIT_FILE_ERROR
         assert "method must be a string" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_huge_integer_reliability_exits_5_without_a_report(
+        self, john_smith_corpus, tmp_path, capsys
+    ):
+        overlay = tmp_path / "overlay.json"
+        entry = {"name": "zz", "accepts": ["email"], "reliability": 10**400}
+        overlay.write_text(json.dumps({"add": [entry]}))
+        out = tmp_path / "r.md"
+        code = main(
+            run_args(
+                john_smith_corpus,
+                out,
+                "--input",
+                "john.smith@beta.example",
+                "--registry",
+                str(overlay),
+            )
+        )
+        assert code == EXIT_FILE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("registry error: ")
+        assert "reliability must be within [0, 1]" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("template", BAD_QUERY_TEMPLATES)
@@ -340,7 +384,10 @@ class TestAtomicWrites:
             ("timeout_ms", 0),
             ("max_parallel", 0),
             ("min_relevance", 1.5),
+            ("min_relevance", True),
             ("pin_timestamp", "yesterday"),
+            ("input_text", 123),
+            ("include_unattributed", "no"),
         ],
     )
     def test_library_run_with_a_bad_value_exits_2_before_reading_anything(
@@ -349,13 +396,13 @@ class TestAtomicWrites:
         # Neither file exists: reading either would exit 5, not 2.
         out = tmp_path / "report.md"
         out.write_text("precious previous report")
-        config = PipelineConfig(
-            input_text="John Smith",
-            corpus_path=str(tmp_path / "missing.jsonl"),
-            out_path=str(out),
-            registry_path=str(tmp_path / "missing.json"),
-            **{field: value},
-        )
+        fields = {
+            "input_text": "John Smith",
+            "corpus_path": str(tmp_path / "missing.jsonl"),
+            "out_path": str(out),
+            "registry_path": str(tmp_path / "missing.json"),
+        }
+        config = PipelineConfig(**{**fields, field: value})
         assert run_pipeline(config) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("invalid config: ")
         assert [p.name for p in tmp_path.iterdir()] == ["report.md"]

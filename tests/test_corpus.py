@@ -187,13 +187,13 @@ class TestLoading:
         facts = [f for subject in corpus.subjects for f in corpus.facts_for(subject)]
         shared = {}
         for corpus_fact in facts:
-            for name in ("platforms", "attribute", "subject_id", "confidence"):
+            for name in ("platforms", "attribute", "subject_id", "confidence", "value"):
                 value = getattr(corpus_fact, name)
                 if name != "confidence" or value:
                     shared.setdefault((name, value), set()).add(id(value))
         assert all(len(ids) == 1 for ids in shared.values())
-        # platform lists, attributes, subjects, non-zero confidences
-        assert len(shared) == 5 + 5 + 2 + 2
+        # platform lists, attributes, subjects, non-zero confidences, values
+        assert len(shared) == 5 + 5 + 2 + 2 + 8
         assert not hasattr(facts[0], "__dict__")
         # -0.0 == 0.0, but neither zero takes the other's sign.
         signs = {f.subject_id: math.copysign(1.0, f.confidence) for f in facts if not f.confidence}
@@ -201,21 +201,61 @@ class TestLoading:
 
 
 # Corpus files for the loader oracle: valid facts that repeat platform lists
-# and subject ids, int and float confidences (-0.0 and 0.0 among them),
-# spaces or tabs around a fact, blank lines, "\n" or "\r\n" line ends, and at
-# most one malformed line.  Every line is ASCII-escaped JSON, apart from a
-# leading U+FEFF, which str.splitlines does not split at: on such files the
-# oracle's line splitting is right.
-_valid_facts = st.builds(
-    fact,
-    st.sampled_from(["s-1", "s-2", "s-3"]) | st.text(min_size=1, max_size=4),
-    st.sampled_from(sorted(ATTRIBUTE_KEYS)),
-    st.text(max_size=6),
-    st.lists(st.sampled_from(["maltego", "webmii", "pipl"]), min_size=1, max_size=3),
-    st.integers(0, 1) | st.floats(0, 1) | st.sampled_from([0.5, 0.95, -0.0, 0.0]),
-).map(json.dumps)
+# and subject ids, with spaces or tabs around a fact, blank lines, "\n" or
+# "\r\n" line ends, and at most one malformed line (or one bad platforms
+# list on two lines).  Facts are written by json.dumps in both of the
+# loader's fast layouts (README key order, sorted keys) and in a compact one,
+# with ensure_ascii on and off; strings hold quotes, backslashes, control
+# characters, line separators and non-ASCII text.  A confidence is written
+# as json.dumps writes it or by hand: an exponent, the integer -0, "-0.0".
+_PLAIN = st.sampled_from("ab -.@é")
+_ANY = st.sampled_from('"\\\x00\n\x1f\x7f\x85\u2028\u2029漢😀') | st.characters(
+    exclude_categories=("Cs",)
+)
+_SUBJECTS = st.sampled_from(["s-1", "s-2", "s-3"]) | st.text(_PLAIN | _ANY, min_size=1, max_size=4)
+_VALUES = (
+    st.sampled_from(["", "Ann Lee", "Zoë"])
+    | st.text(_PLAIN, max_size=6)
+    | st.text(_PLAIN | _ANY, max_size=6)
+)
+_NAMES = st.sampled_from(["maltego", "webmii", "pipl", 'we"b', "a\\b", "x]", "é", "\u2028"])
+_PLATFORMS = st.sampled_from([["webmii"], ["maltego", "pipl"]]) | st.lists(
+    _NAMES, min_size=1, max_size=3
+)
+_LAYOUTS = st.sampled_from(
+    [
+        {"ensure_ascii": ascii_only, "sort_keys": sort_keys}
+        for ascii_only in (True, False)
+        for sort_keys in (False, True)
+    ]
+    + [{"separators": (",", ":")}]
+)
+# Stands in for the confidence in json.dumps's output until its text is put in.
+_PLACEHOLDER = 0.123456789
+_VALID_CONFIDENCES = (
+    st.integers(0, 1) | st.floats(0, 1) | st.sampled_from([0.5, 0.95, -0.0, 0.0])
+).map(json.dumps) | st.sampled_from(["1e0", "5E-1", "2.5e-1", "-0", "-0.0", "-0e3", "1.0e-400"])
+# Each a CorpusParseError: too large for a float, past int's digit limit,
+# Unicode digits (float() reads them, JSON does not), and infinite.
+_BAD_CONFIDENCES = st.sampled_from(
+    ["1" + "0" * 400, "1" + "0" * 5000, "\u0660.5", "0.\u0665", "1e400"]
+)
+
+
+@st.composite
+def _fact_lines(draw, platforms, confidences=_VALID_CONFIDENCES):
+    row = fact(
+        draw(_SUBJECTS),
+        draw(st.sampled_from(sorted(ATTRIBUTE_KEYS))),
+        draw(_VALUES),
+        draw(platforms),
+        _PLACEHOLDER,
+    )
+    line = json.dumps(row, **draw(_LAYOUTS))
+    return line.replace(json.dumps(_PLACEHOLDER), draw(confidences))
+
+
 _padding = st.sampled_from(["", " ", "\t", " \t "])
-_padded_facts = st.builds("{}{}{}".format, _padding, _valid_facts, _padding)
 
 
 def _mutated(mutate, line):
@@ -224,31 +264,45 @@ def _mutated(mutate, line):
     return json.dumps(row)
 
 
-_malformed_lines = st.one_of(
-    st.builds(_mutated, st.sampled_from(MUTATIONS), _valid_facts),
-    st.sampled_from(
-        [
-            "{broken",
-            '{"subject_id": "s',
-            '["a", "list"]',
-            "null",
-            json.dumps(fact("s", "shoe_size", "44", ["webmii"])),
-            json.dumps(fact("s", "full_name", "x", ["webmii"])) + " {",
-        ]
-    ),
-    _valid_facts.map(lambda line: line + "x"),
-    _valid_facts.map(lambda line: "\ufeff" + line),
-)
+def _malformed_lines(platforms):
+    """One malformed line, or one bad platforms list on two lines (so a list
+    that was never validated cannot be taken on trust the second time)."""
+    valid = _fact_lines(platforms)
+    line = st.one_of(
+        st.builds(_mutated, st.sampled_from(MUTATIONS), valid),
+        st.sampled_from(
+            [
+                "{broken",
+                '{"subject_id": "s',
+                '["a", "list"]',
+                "null",
+                json.dumps(fact("s", "shoe_size", "44", ["webmii"])),
+                json.dumps(fact("s", "full_name", "x", ["webmii"])) + " {",
+            ]
+        ),
+        _fact_lines(platforms, _BAD_CONFIDENCES),
+        valid.map(lambda line: line + "x"),
+        valid.map(lambda line: "\ufeff" + line),
+    )
+    bad_platforms = st.sampled_from([[], [""], ["webmii", ""], [1], [["x"]]])
+    pair = bad_platforms.flatmap(
+        lambda bad: st.lists(_fact_lines(st.just(bad)), min_size=2, max_size=2)
+    )
+    return line.map(lambda line: [line]) | pair
 
 
 @st.composite
 def _corpus_files(draw):
-    lines = draw(
-        st.lists(_valid_facts | _padded_facts | st.sampled_from(["", "   ", "\t"]), max_size=12)
-    )
-    malformed = draw(st.none() | _malformed_lines)
-    if malformed is not None:
-        lines.insert(draw(st.integers(0, len(lines))), malformed)
+    # A few platform lists per file, so that lines repeat them.
+    platforms = st.sampled_from(draw(st.lists(_PLATFORMS, min_size=1, max_size=3)))
+    valid = _fact_lines(platforms)
+    padded = st.builds("{}{}{}".format, _padding, valid, _padding)
+    lines = draw(st.lists(valid | padded | st.sampled_from(["", "   ", "\t"]), max_size=12))
+    malformed = []
+    if draw(st.sampled_from([False, False, True])):
+        malformed = draw(_malformed_lines(platforms))
+    for line in malformed:
+        lines.insert(draw(st.integers(0, len(lines))), line)
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     final = draw(st.sampled_from(["", newline]))
     return (newline.join(lines) + final if lines else "").encode("utf-8")
@@ -266,19 +320,58 @@ def _loaded(loader, path):
     ]
 
 
+def _lines(*confidences, value="x", platforms=("webmii",)):
+    """A corpus of one fact per confidence text, otherwise alike."""
+    line = json.dumps(fact("s-1", "alias", value, platforms, _PLACEHOLDER))
+    placeholder = json.dumps(_PLACEHOLDER)
+    return "\n".join(line.replace(placeholder, c) for c in confidences).encode("utf-8")
+
+
 @given(_corpus_files())
-@example(
-    "\n".join(
-        json.dumps(fact("s-1", "alias", "x", ["webmii"], confidence))
-        for confidence in (-0.0, 0.0, -0.0)
-    ).encode("ascii")
-)
+@example(_lines("-0.0", "0.0", "-0.0"))
+# Lines the fast path must leave to the JSON decoder, each after a line that
+# validates its platforms text: the integer -0 (JSON gives +0.0), a Unicode
+# digit (float() reads it, JSON does not), an escaped string; and a
+# platforms list that is no list of names, on two lines.
+@example(_lines("0.5", "-0"))
+@example(_lines("0.5", "0.\u0665"))
+@example(_lines("0.5", "0.5", value="a\\b"))
+@example(_lines("0.5", "0.5", platforms=()))
 def test_streaming_load_equals_the_line_by_line_oracle(tmp_path_factory, data):
     """load_corpus builds the oracle's subjects and facts, or raises the same
     error class with the same line number and message."""
     path = tmp_path_factory.getbasetemp() / "oracle-corpus.jsonl"
     path.write_bytes(data)
     assert _loaded(load_corpus, path) == _loaded(oracle_load_corpus, path)
+
+
+@pytest.mark.parametrize("sort_keys", [False, True], ids=["readme-order", "sorted-keys"])
+def test_documented_layouts_take_the_fast_path(tmp_path, monkeypatch, sort_keys):
+    """Only the first line with a platforms list is parsed as JSON; the rest
+    are read by the fast path, to the same facts."""
+    platforms = ["webmii", "maltego"]
+    rows = [
+        fact("s-1", "full_name", "Zoë Ek", platforms, 0.9),
+        fact("s-1", "email", "zoe@ek.example", platforms, 1),
+        fact("s-2", "alias", "", platforms, 0),
+        fact("s-2", "job_title", "clerk", platforms, -0.0),
+        fact("s-2", "location", "Åre\u2028Sweden", platforms, 1e-05),
+    ]
+    path = tmp_path / "c.jsonl"
+    path.write_text(
+        "".join(json.dumps(row, sort_keys=sort_keys, ensure_ascii=False) + "\n" for row in rows),
+        encoding="utf-8",
+    )
+    slow_lines = []
+    parse = corpus_module._fact_from_line
+
+    def recorded(line_number, *args):
+        slow_lines.append(line_number)
+        return parse(line_number, *args)
+
+    monkeypatch.setattr(corpus_module, "_fact_from_line", recorded)
+    assert _loaded(load_corpus, path) == _loaded(oracle_load_corpus, path)
+    assert slow_lines == [1]
 
 
 def test_bundled_corpus_is_loadable_and_plausible():
