@@ -12,9 +12,10 @@ import hashlib
 import json
 import re
 import threading
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Tuple
+from typing import Callable, Iterable, Mapping, Sequence, Tuple
 
 from ..errors import DossierError
 from ..inputs import (
@@ -28,9 +29,7 @@ from ..similarity import NAME_MATCH_THRESHOLD, jaccard, name_tokens
 from ..vocab import ATTRIBUTE_KEYS, NAME_ATTRIBUTES
 from .records import RawRecord
 
-# The README's key order; also the order of CorpusFact's fields.
-_FIELD_ORDER = ("subject_id", "attribute", "value", "platforms", "confidence")
-_CORPUS_FIELDS = frozenset(_FIELD_ORDER)
+_CORPUS_FIELDS = frozenset({"subject_id", "attribute", "value", "platforms", "confidence"})
 # Each attribute key maps to the vocabulary's own string, so facts share it.
 _ATTRIBUTES = {key: key for key in ATTRIBUTE_KEYS}
 _PLATFORMS_MESSAGE = "platforms must be a non-empty list of names"
@@ -39,31 +38,23 @@ _RANGE_MESSAGE = "confidence must be within [0, 1]"
 # wrapper; see _fact_from_line.
 _raw_decode = json.JSONDecoder().raw_decode
 
-# The fast path's grammar for each field's value (see load_corpus).  A
-# string holds no escape and no control character, so its raw text is its
-# value.  A platforms list is captured loosely; its raw text is trusted only
-# once a whole line holding it has been validated.  A number follows the
-# JSON scanner's grammar with [0-9], never \d, which also matches the other
+# The fast path's pattern (see load_corpus): one fact line as
+# json.dumps(fact, sort_keys=True) writes it with its default separators,
+# newline optional; perfbench/gen.py writes this layout.  A string holds no
+# escape and no control character, so its raw text is its value.  A
+# platforms list is captured loosely; its raw text is trusted only once a
+# whole line holding it has been validated.  A number follows the JSON
+# scanner's grammar with [0-9], never \d, which also matches the other
 # Unicode digits that float() reads but JSON refuses.
-_STRING_VALUE = r'"(?P<{0}>[^"\\\x00-\x1f]*)"'
-_FAST_VALUES = {
-    "subject_id": _STRING_VALUE,
-    "attribute": _STRING_VALUE,
-    "value": _STRING_VALUE,
-    "platforms": r"(?P<{0}>\[[^\]]*\])",
-    "confidence": r"(?P<{0}>-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)",
-}
-
-
-def _fast_line(keys: Sequence[str]) -> Callable[[str], re.Match | None]:
-    """Full-match function for a fact line that ``json.dumps`` wrote with its
-    default separators and the keys in *keys*' order, newline optional."""
-    fields = ", ".join(f'"{key}": ' + _FAST_VALUES[key].format(key) for key in keys)
-    return re.compile(r"\{" + fields + r"\}\n?").fullmatch
-
-
-# The README's key order (the bundled corpus) and json.dumps(sort_keys=True).
-_FAST_LINES = (_fast_line(_FIELD_ORDER), _fast_line(sorted(_FIELD_ORDER)))
+_STRING = r'"([^"\\\x00-\x1f]*)"'
+_FAST_LINE = re.compile(
+    r'\{"attribute": ' + _STRING
+    + r', "confidence": (-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)'
+    + r', "platforms": (\[[^\]]*\])'
+    + r', "subject_id": ' + _STRING
+    + r', "value": ' + _STRING
+    + r"\}\n?"
+).fullmatch
 
 # The host of a lowercased URL: an optional "scheme://" and "userinfo@" are
 # skipped, and the host ends at a port, path, query or fragment.
@@ -95,7 +86,8 @@ class UnknownAttributeError(CorpusError):
         self.key = key
 
 
-class CorpusFact(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class CorpusFact:
     """One subject attribute plus the collector names that may return it."""
 
     subject_id: str
@@ -268,7 +260,6 @@ def _fact_from_line(
     platform_sets: dict[tuple, frozenset],
     subject_ids: dict[str, str],
     confidences: dict[float, float],
-    values: dict[str, str],
 ) -> CorpusFact:
     # A line that raw_decode takes whole is exactly what json.loads would
     # return; anything else (surrounding whitespace, a BOM, trailing data,
@@ -297,6 +288,8 @@ def _fact_from_line(
             f"fact keys must be exactly {sorted(_CORPUS_FIELDS)} "
             f"(missing {sorted(missing)}, unexpected {sorted(extra)})",
         )
+    # load_corpus's fast path repeats the checks and sharing below; keep the
+    # two in step.
     subject_id = payload["subject_id"]
     attribute = payload["attribute"]
     value = payload["value"]
@@ -336,7 +329,7 @@ def _fact_from_line(
     return CorpusFact(
         subject_id=subject_ids.setdefault(subject_id, subject_id),
         attribute=shared_attribute,
-        value=values.setdefault(value, value),
+        value=value,
         platforms=platform_set,
         confidence=confidence,
     )
@@ -347,16 +340,16 @@ def load_corpus(path: str | Path) -> Corpus:
 
     A line ends in ``\\n`` or ``\\r\\n``; blank lines are skipped.  Repeated
     values are shared, not copied: facts with equal platform lists hold one
-    frozenset, facts of one subject hold one ``subject_id`` string, facts
-    with equal values hold one ``value`` string, and facts with equal
-    non-zero confidences hold one float.
+    frozenset, facts of one subject hold one ``subject_id`` string, and
+    facts with equal non-zero confidences hold one float.
 
-    A line as ``json.dumps`` writes a fact with its keys in the README's
-    order or sorted, whose strings hold no escape, whose confidence is in
-    range and is not the integer ``-0``, and whose platforms text is one an
-    earlier line already proved valid, is read by one regular expression.
-    Every other line goes through ``_fact_from_line``, which gives the same
-    fact, or the error, that ``json.loads`` and the checks give.
+    A line as ``json.dumps(fact, sort_keys=True)`` writes it, whose strings
+    hold no escape, whose confidence is in range and is not the integer
+    ``-0``, and whose platforms text is one an earlier line already proved
+    valid, is read by one regular expression.  Every other line, in any
+    other key order or layout too, goes through ``_fact_from_line``, which
+    gives the same fact, or the error, that ``json.loads`` and the checks
+    give.
     """
     path = Path(path)
     facts = []
@@ -365,22 +358,16 @@ def load_corpus(path: str | Path) -> Corpus:
     platform_texts: dict[str, frozenset] = {}
     subject_ids: dict[str, str] = {}
     confidences: dict[float, float] = {}
-    values: dict[str, str] = {}
-    new_fact = tuple.__new__
     try:
         with path.open(encoding="utf-8") as stream:
             for line_number, line in enumerate(stream, start=1):
-                for fast_line in _FAST_LINES:
-                    match = fast_line(line)
-                    if match is not None:
-                        break
+                match = _FAST_LINE(line)
                 if match is not None:
-                    subject_id, attribute, value, platforms_text, confidence_text = match.group(
-                        *_FIELD_ORDER
-                    )
+                    attribute, confidence_text, platforms_text, subject_id, value = match.groups()
                     shared_attribute = _ATTRIBUTES.get(attribute)
                     platform_set = platform_texts.get(platforms_text)
                     confidence = float(confidence_text)
+                    # The checks and sharing of _fact_from_line's tail, its twin;
                     # JSON reads the integer -0 as 0, which float() signs.
                     if (
                         subject_id
@@ -392,15 +379,15 @@ def load_corpus(path: str | Path) -> Corpus:
                         if confidence:  # -0.0 == 0.0, so sharing a zero could flip its sign
                             confidence = confidences.setdefault(confidence, confidence)
                         subject_id = subject_ids.setdefault(subject_id, subject_id)
-                        value = values.setdefault(value, value)
-                        fields = (subject_id, shared_attribute, value, platform_set, confidence)
-                        facts.append(new_fact(CorpusFact, fields))
+                        facts.append(
+                            CorpusFact(subject_id, shared_attribute, value, platform_set, confidence)
+                        )
                         continue
                 elif not line.strip():
                     continue
                 # Without its newline, so a JSON error reads as for the bare line.
                 fact = _fact_from_line(
-                    line_number, line.rstrip("\n"), platform_sets, subject_ids, confidences, values
+                    line_number, line.rstrip("\n"), platform_sets, subject_ids, confidences
                 )
                 if match is not None:
                     platform_texts[platforms_text] = fact.platforms
