@@ -140,13 +140,19 @@ def parse_args(argv: Sequence[str]) -> PipelineConfig:
 def _config_problem(config: PipelineConfig) -> Optional[str]:
     """Why *config* cannot run, or None when it can.
 
-    One set of checks for the CLI and library callers alike, on every value
-    but the paths, whose files are checked as they are read; only the input
+    One set of checks for the CLI and library callers alike, on every value.
+    A path's type is checked here and its file as it is read; only the input
     text's type is checked here, and ``classify_input`` reads its content.
     ``ExecutionConfig`` holds the timeout and parallelism rules.
     """
     if not isinstance(config.input_text, str):
         return f"--input must be a string, not {config.input_text!r}"
+    paths = {"--corpus": config.corpus_path, "--out": config.out_path}
+    if config.registry_path is not None:
+        paths["--registry"] = config.registry_path
+    for option, path in paths.items():
+        if not isinstance(path, (str, os.PathLike)):
+            return f"{option} must be a path, not {path!r}"
     if config.kind not in KIND_CHOICES:
         return f"--kind {config.kind!r} is not one of {', '.join(sorted(KIND_CHOICES))}"
     if config.template not in TEMPLATE_NAMES:

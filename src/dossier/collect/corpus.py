@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import re
 import threading
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, Tuple
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple
 
 from ..errors import DossierError
 from ..inputs import (
@@ -97,9 +98,19 @@ class CorpusFact:
     confidence: float
 
 
+# One fact as a Corpus stores it: (attribute, value, confidence, platforms).
+# Its subject id is the key its row tuple is stored under.
+_Row = Tuple[str, str, float, frozenset]
+# Rows of one subject are sorted by (attribute, value, confidence), stably;
+# a frozenset has no total order, so platforms never take part.
+_ROW_ORDER = operator.itemgetter(0, 1, 2)
+
+
 class Corpus:
     """Facts grouped by subject, with deterministic iteration order.
 
+    Each fact is stored as a plain row, not as a :class:`CorpusFact`;
+    :meth:`facts_for` builds equal ``CorpusFact`` objects on each call.
     Queries are answered from indexes that each key family builds on its
     first use and keeps: a corpus is read-only once loaded, so an index
     never goes stale.  A lock makes each build happen once even when
@@ -110,12 +121,19 @@ class Corpus:
     __slots__ = ("_by_subject", "_indexes", "_index_lock", "_postings")
 
     def __init__(self, facts: Iterable[CorpusFact]) -> None:
-        grouped: dict[str, list[CorpusFact]] = {}
+        grouped: dict[str, list[_Row]] = {}
         for fact in facts:
-            grouped.setdefault(fact.subject_id, []).append(fact)
-        self._by_subject: dict[str, Tuple[CorpusFact, ...]] = {
-            subject: tuple(sorted(group, key=lambda f: (f.attribute, f.value, f.confidence)))
-            for subject, group in sorted(grouped.items())
+            grouped.setdefault(fact.subject_id, []).append(
+                (fact.attribute, fact.value, fact.confidence, fact.platforms)
+            )
+        self._set_rows(grouped)
+
+    def _set_rows(self, grouped: dict[str, list[_Row]]) -> None:
+        """Fill a new corpus from subject id -> its rows in any order; the
+        one constructor behind ``Corpus(facts)`` and :func:`load_corpus`."""
+        self._by_subject: dict[str, Tuple[_Row, ...]] = {
+            subject: tuple(sorted(rows, key=_ROW_ORDER))
+            for subject, rows in sorted(grouped.items())
         }
         self._indexes: dict[tuple, dict[str, Tuple[str, ...]]] = {}
         self._index_lock = threading.Lock()
@@ -126,7 +144,12 @@ class Corpus:
         return tuple(self._by_subject)
 
     def facts_for(self, subject_id: str) -> Tuple[CorpusFact, ...]:
-        return self._by_subject.get(subject_id, ())
+        """The facts of *subject_id* in (attribute, value, confidence) order,
+        built anew on each call; ``()`` for a subject the corpus lacks."""
+        return tuple(
+            CorpusFact(subject_id, attribute, value, platforms, confidence)
+            for attribute, value, confidence, platforms in self._by_subject.get(subject_id, ())
+        )
 
     def __len__(self) -> int:
         return sum(len(group) for group in self._by_subject.values())
@@ -178,9 +201,9 @@ class Corpus:
                 subject_id
                 for subject_id in sorted(candidates)
                 if any(
-                    fact.attribute in NAME_ATTRIBUTES
-                    and jaccard(tokens, name_tokens(fact.value)) >= NAME_MATCH_THRESHOLD
-                    for fact in by_subject[subject_id]
+                    attribute in NAME_ATTRIBUTES
+                    and jaccard(tokens, name_tokens(value)) >= NAME_MATCH_THRESHOLD
+                    for attribute, value, _, _ in by_subject[subject_id]
                 )
             ]
         if kind is InputKind.DOMAIN:
@@ -200,33 +223,33 @@ def _add(index: dict[str, list[str]], key: str, subject_id: str) -> None:
 
 
 def _identifier_index(
-    by_subject: Mapping[str, Tuple[CorpusFact, ...]], attribute: str, region: str
+    by_subject: Mapping[str, Tuple[_Row, ...]], attribute: str, region: str
 ) -> dict[str, list[str]]:
     """Canonical *attribute* value (national phones read in *region*) -> subject ids."""
     index: dict[str, list[str]] = {}
-    for subject_id, facts in by_subject.items():
-        for fact in facts:
-            if fact.attribute == attribute:
-                canonical = canonical_identifier(attribute, fact.value, region)
+    for subject_id, rows in by_subject.items():
+        for row_attribute, value, _, _ in rows:
+            if row_attribute == attribute:
+                canonical = canonical_identifier(attribute, value, region)
                 if canonical is not None:
                     # The stored string, when it is already canonical, so
                     # the key is not a second copy of it.
-                    _add(index, fact.value if canonical == fact.value else canonical, subject_id)
+                    _add(index, value if canonical == value else canonical, subject_id)
     return index
 
 
-def _name_index(by_subject: Mapping[str, Tuple[CorpusFact, ...]]) -> dict[str, list[str]]:
+def _name_index(by_subject: Mapping[str, Tuple[_Row, ...]]) -> dict[str, list[str]]:
     """Name token of any full_name or alias -> subject ids."""
     index: dict[str, list[str]] = {}
-    for subject_id, facts in by_subject.items():
-        for fact in facts:
-            if fact.attribute in NAME_ATTRIBUTES:
-                for token in name_tokens(fact.value):
+    for subject_id, rows in by_subject.items():
+        for attribute, value, _, _ in rows:
+            if attribute in NAME_ATTRIBUTES:
+                for token in name_tokens(value):
                     _add(index, token, subject_id)
     return index
 
 
-def _host_index(by_subject: Mapping[str, Tuple[CorpusFact, ...]]) -> dict[str, list[str]]:
+def _host_index(by_subject: Mapping[str, Tuple[_Row, ...]]) -> dict[str, list[str]]:
     """Every label suffix of an email or URL host -> subject ids.
 
     A domain is found exactly under the hosts that equal it or are its
@@ -235,17 +258,17 @@ def _host_index(by_subject: Mapping[str, Tuple[CorpusFact, ...]]) -> dict[str, l
     dropped from a host.
     """
     index: dict[str, list[str]] = {}
-    for subject_id, facts in by_subject.items():
-        for fact in facts:
-            if fact.attribute == "email":
+    for subject_id, rows in by_subject.items():
+        for attribute, value, _, _ in rows:
+            if attribute == "email":
                 # The host of the email the aggregator keeps; a malformed
                 # email has none.  (No email rule depends on the region.)
-                email = canonical_identifier("email", fact.value, DEFAULT_REGION)
+                email = canonical_identifier("email", value, DEFAULT_REGION)
                 if email is None:
                     continue
                 host = email.rpartition("@")[2]
-            elif fact.attribute == "url":
-                host = _URL_HOST_RE.match(fact.value.strip().lower()).group(1)
+            elif attribute == "url":
+                host = _URL_HOST_RE.match(value.strip().lower()).group(1)
             else:
                 continue
             labels = host.rstrip(".").split(".")
@@ -254,13 +277,35 @@ def _host_index(by_subject: Mapping[str, Tuple[CorpusFact, ...]]) -> dict[str, l
     return index
 
 
+def _confidence(number: str | int | float, confidences: dict[float, float]) -> Optional[float]:
+    """*number*, a JSON number's text or its decoded value, as a float in
+    [0, 1], shared through *confidences* unless it is a zero; None when it is
+    out of range, or is the text ``-0``, which JSON reads as ``0`` but
+    ``float()`` as ``-0.0``.
+
+    The one home of the confidence rules: ``_fact_from_line`` calls it on
+    every decoded confidence, and :func:`load_corpus`'s fast path on each
+    confidence text the first time it meets it.
+    """
+    try:
+        confidence = float(number)
+    except OverflowError:  # an integer too large for a float
+        return None
+    if not 0.0 <= confidence <= 1.0 or number == "-0":
+        return None
+    if confidence:  # -0.0 == 0.0, so sharing a zero could flip its sign
+        confidence = confidences.setdefault(confidence, confidence)
+    return confidence
+
+
 def _fact_from_line(
     line_number: int,
     line: str,
     platform_sets: dict[tuple, frozenset],
-    subject_ids: dict[str, str],
     confidences: dict[float, float],
-) -> CorpusFact:
+) -> Tuple[str, _Row]:
+    """The subject id and row of one fact line, decoded as JSON and checked,
+    or the :class:`CorpusError` that says why the line is no fact."""
     # A line that raw_decode takes whole is exactly what json.loads would
     # return; anything else (surrounding whitespace, a BOM, trailing data,
     # malformed JSON, nesting past the recursion limit) goes to json.loads
@@ -288,8 +333,6 @@ def _fact_from_line(
             f"fact keys must be exactly {sorted(_CORPUS_FIELDS)} "
             f"(missing {sorted(missing)}, unexpected {sorted(extra)})",
         )
-    # load_corpus's fast path repeats the checks and sharing below; keep the
-    # two in step.
     subject_id = payload["subject_id"]
     attribute = payload["attribute"]
     value = payload["value"]
@@ -318,46 +361,40 @@ def _fact_from_line(
         platform_set = platform_sets[key] = frozenset(platforms)
     if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
         raise CorpusParseError(line_number, "confidence must be a number")
-    try:
-        confidence = float(confidence)
-    except OverflowError as exc:  # an integer too large for a float
-        raise CorpusParseError(line_number, _RANGE_MESSAGE) from exc
-    if not 0.0 <= confidence <= 1.0:
+    confidence = _confidence(confidence, confidences)
+    if confidence is None:
         raise CorpusParseError(line_number, _RANGE_MESSAGE)
-    if confidence:  # -0.0 == 0.0, so sharing a zero could flip its sign
-        confidence = confidences.setdefault(confidence, confidence)
-    return CorpusFact(
-        subject_id=subject_ids.setdefault(subject_id, subject_id),
-        attribute=shared_attribute,
-        value=value,
-        platforms=platform_set,
-        confidence=confidence,
-    )
+    return subject_id, (shared_attribute, value, confidence, platform_set)
 
 
 def load_corpus(path: str | Path) -> Corpus:
     """Parse a line-delimited JSON corpus file in one streaming pass.
 
-    A line ends in ``\\n`` or ``\\r\\n``; blank lines are skipped.  Repeated
-    values are shared, not copied: facts with equal platform lists hold one
-    frozenset, facts of one subject hold one ``subject_id`` string, and
-    facts with equal non-zero confidences hold one float.
+    A line ends in ``\\n`` or ``\\r\\n``; blank lines are skipped.  Each fact
+    goes straight into its subject's list of rows; no :class:`CorpusFact` is
+    built.  Repeated values are shared, not copied: facts with equal
+    platform lists hold one frozenset, a subject's id is stored once, and
+    facts with equal non-zero confidences hold one float, however the
+    number is written.
 
     A line as ``json.dumps(fact, sort_keys=True)`` writes it, whose strings
     hold no escape, whose confidence is in range and is not the integer
     ``-0``, and whose platforms text is one an earlier line already proved
-    valid, is read by one regular expression.  Every other line, in any
-    other key order or layout too, goes through ``_fact_from_line``, which
-    gives the same fact, or the error, that ``json.loads`` and the checks
-    give.
+    valid, is read by one regular expression.  Each confidence text is
+    checked and converted once, by ``_confidence``, and then looked up, so
+    a text not seen before stays on this path too.  Every other line, in
+    any other key order or layout too, goes through ``_fact_from_line``,
+    which gives the same fact, or the error, that ``json.loads`` and the
+    checks give.
     """
     path = Path(path)
-    facts = []
+    grouped: dict[str, list[_Row]] = {}
     platform_sets: dict[tuple, frozenset] = {}
     # Raw platforms text of a validated line -> its shared frozenset.
     platform_texts: dict[str, frozenset] = {}
-    subject_ids: dict[str, str] = {}
     confidences: dict[float, float] = {}
+    # Confidence text -> what _confidence made of it.
+    confidence_texts: dict[str, Optional[float]] = {}
     try:
         with path.open(encoding="utf-8") as stream:
             for line_number, line in enumerate(stream, start=1):
@@ -366,37 +403,40 @@ def load_corpus(path: str | Path) -> Corpus:
                     attribute, confidence_text, platforms_text, subject_id, value = match.groups()
                     shared_attribute = _ATTRIBUTES.get(attribute)
                     platform_set = platform_texts.get(platforms_text)
-                    confidence = float(confidence_text)
-                    # The checks and sharing of _fact_from_line's tail, its twin;
-                    # JSON reads the integer -0 as 0, which float() signs.
+                    try:
+                        confidence = confidence_texts[confidence_text]
+                    except KeyError:
+                        confidence = confidence_texts[confidence_text] = _confidence(
+                            confidence_text, confidences
+                        )
+                    # The rest of _fact_from_line's checks: a non-empty
+                    # subject id and an attribute in the vocabulary.
                     if (
                         subject_id
                         and shared_attribute is not None
                         and platform_set is not None
-                        and 0.0 <= confidence <= 1.0
-                        and confidence_text != "-0"
+                        and confidence is not None
                     ):
-                        if confidence:  # -0.0 == 0.0, so sharing a zero could flip its sign
-                            confidence = confidences.setdefault(confidence, confidence)
-                        subject_id = subject_ids.setdefault(subject_id, subject_id)
-                        facts.append(
-                            CorpusFact(subject_id, shared_attribute, value, platform_set, confidence)
+                        grouped.setdefault(subject_id, []).append(
+                            (shared_attribute, value, confidence, platform_set)
                         )
                         continue
                 elif not line.strip():
                     continue
                 # Without its newline, so a JSON error reads as for the bare line.
-                fact = _fact_from_line(
-                    line_number, line.rstrip("\n"), platform_sets, subject_ids, confidences
+                subject_id, row = _fact_from_line(
+                    line_number, line.rstrip("\n"), platform_sets, confidences
                 )
                 if match is not None:
-                    platform_texts[platforms_text] = fact.platforms
-                facts.append(fact)
+                    platform_texts[platforms_text] = row[3]
+                grouped.setdefault(subject_id, []).append(row)
     except OSError as exc:
         raise CorpusIOError(f"cannot read corpus {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise CorpusIOError(f"cannot read corpus {path}: not UTF-8 ({exc.reason})") from exc
-    return Corpus(facts)
+    corpus = Corpus.__new__(Corpus)
+    corpus._set_rows(grouped)
+    return corpus
 
 
 def bundled_corpus_path() -> Path:
@@ -422,15 +462,16 @@ def corpus_collect(corpus: Corpus, collector, query: QueryInput) -> list[RawReco
     together downstream.
     """
     records: list[RawRecord] = []
+    by_subject = corpus._by_subject
     for subject_id in corpus._matching_subjects(query):
         locator = _batch_locator(collector.name, subject_id)
-        for fact in corpus.facts_for(subject_id):
-            if collector.name in fact.platforms:
+        for attribute, value, confidence, platforms in by_subject[subject_id]:
+            if collector.name in platforms:
                 records.append(
                     RawRecord(
-                        attribute=fact.attribute,
-                        value=fact.value,
-                        confidence=fact.confidence,
+                        attribute=attribute,
+                        value=value,
+                        confidence=confidence,
                         provenance=locator,
                     )
                 )

@@ -388,6 +388,9 @@ class TestAtomicWrites:
             ("pin_timestamp", "yesterday"),
             ("input_text", 123),
             ("include_unattributed", "no"),
+            ("corpus_path", 123),
+            ("out_path", 123),
+            ("registry_path", 123),
         ],
     )
     def test_library_run_with_a_bad_value_exits_2_before_reading_anything(

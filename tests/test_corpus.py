@@ -347,19 +347,36 @@ def test_streaming_load_equals_the_line_by_line_oracle(tmp_path_factory, data):
 
 
 def test_sorted_key_layout_takes_the_fast_path(tmp_path, monkeypatch):
-    """Only the first line with a platforms list is parsed as JSON; the rest
-    are read by the fast path, to the same facts."""
+    """Only the first line with a platforms list and the lines whose
+    confidence is the integer -0 (JSON reads it as 0) are parsed as JSON;
+    the rest are read by the fast path, to the same facts, signs included.
+    Equal non-zero confidences share one float however they are written."""
     platforms = ["webmii", "maltego"]
-    rows = [
-        fact("s-1", "full_name", "Zoë Ek", platforms, 0.9),
-        fact("s-1", "email", "zoe@ek.example", platforms, 1),
-        fact("s-2", "alias", "", platforms, 0),
-        fact("s-2", "job_title", "clerk", platforms, -0.0),
-        fact("s-2", "location", "Åre\u2028Sweden", platforms, 1e-05),
+    facts = [
+        ("s-1", "full_name", "Zoë Ek", "0.9"),
+        ("s-1", "email", "zoe@ek.example", "1"),
+        ("s-2", "alias", "", "0"),
+        ("s-2", "job_title", "clerk", "-0.0"),
+        ("s-2", "location", "Åre\u2028Sweden", "1e-05"),
+        ("s-3", "alias", "a", "0.5"),
+        ("s-3", "alias", "b", "5e-1"),
+        ("s-3", "alias", "c", "0.50"),
+        ("s-3", "job_title", "d", "-0.0"),
+        ("s-3", "job_title", "e", "-0"),
+        ("s-4", "job_title", "f", "-0"),
     ]
+    placeholder = json.dumps(_PLACEHOLDER)
     path = tmp_path / "c.jsonl"
     path.write_text(
-        "".join(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n" for row in rows),
+        "".join(
+            json.dumps(
+                fact(subject, attribute, value, platforms, _PLACEHOLDER),
+                sort_keys=True,
+                ensure_ascii=False,
+            ).replace(placeholder, confidence)
+            + "\n"
+            for subject, attribute, value, confidence in facts
+        ),
         encoding="utf-8",
     )
     slow_lines = []
@@ -370,8 +387,12 @@ def test_sorted_key_layout_takes_the_fast_path(tmp_path, monkeypatch):
         return parse(line_number, *args)
 
     monkeypatch.setattr(corpus_module, "_fact_from_line", recorded)
-    assert _loaded(load_corpus, path) == _loaded(oracle_load_corpus, path)
-    assert slow_lines == [1]
+    corpus = load_corpus(path)
+    assert slow_lines == [1, 10, 11]
+    assert _loaded(lambda _: corpus, path) == _loaded(oracle_load_corpus, path)
+    halves = [f.confidence for f in corpus.facts_for("s-3") if f.confidence == 0.5]
+    assert len(halves) == 3
+    assert len({id(half) for half in halves}) == 1
 
 
 def test_bundled_corpus_is_loadable_and_plausible():
@@ -768,6 +789,65 @@ def test_indexed_collect_equals_the_linear_scan(corpus, raw_queries):
         assert corpus_collect(corpus, FakeCollector("c"), query) == oracle_corpus_collect(
             corpus, "c", query
         )
+
+
+_facts = st.lists(
+    st.builds(
+        lambda subject, attribute_value, platforms, confidence: CorpusFact(
+            subject, *attribute_value, platforms, confidence
+        ),
+        st.sampled_from(["s1", "s2", "s3", "s4"]),
+        _corpus_facts,
+        st.sampled_from([frozenset({"c"}), frozenset({"c", "d"}), frozenset({"d"})]),
+        st.sampled_from([0.5, 0.9, 0.0, -0.0]) | st.floats(0, 1),
+    ),
+    max_size=16,
+)
+_one_query_of_each_kind = st.tuples(
+    st.tuples(st.just(InputKind.EMAIL), _emails, st.none()),
+    st.tuples(st.just(InputKind.PHONE), st.sampled_from(_PHONES), st.none()),
+    st.tuples(
+        st.just(InputKind.SOCIAL_HANDLE), st.sampled_from(_HANDLES), st.just(Platform.TWITTER)
+    ),
+    st.tuples(st.just(InputKind.NAME), st.sampled_from(_NAMES), st.none()),
+    st.tuples(st.just(InputKind.KEYWORD), st.sampled_from(_NAMES), st.none()),
+    st.tuples(st.just(InputKind.DOMAIN), st.sampled_from(_DOMAINS), st.none()),
+    st.tuples(st.just(InputKind.IMAGE_PATH), st.just("face.jpg"), st.none()),
+)
+
+
+@given(_facts, _one_query_of_each_kind)
+def test_a_corpus_of_facts_equals_the_loaded_corpus(tmp_path_factory, facts, raw_queries):
+    """Corpus(facts) and load_corpus of the same facts, written in the fast
+    layout, hold the same subjects and CorpusFacts, signs included, and
+    answer a query of every kind alike."""
+    path = tmp_path_factory.getbasetemp() / "constructors.jsonl"
+    path.write_text(
+        "".join(
+            json.dumps(
+                fact(f.subject_id, f.attribute, f.value, sorted(f.platforms), f.confidence),
+                sort_keys=True,
+                ensure_ascii=False,
+            )
+            + "\n"
+            for f in facts
+        ),
+        encoding="utf-8",
+    )
+    built, loaded = Corpus(facts), load_corpus(path)
+    assert len(built) == len(loaded) == len(facts)
+    assert _loaded(lambda _: built, path) == _loaded(lambda _: loaded, path)
+    assert built.facts_for("missing") == loaded.facts_for("missing") == ()
+    for corpus in (built, loaded):
+        for subject in corpus.subjects:
+            assert all(type(f) is CorpusFact for f in corpus.facts_for(subject))
+    for kind, raw, platform in raw_queries:
+        try:
+            query = classify_input(raw, kind, platform)
+        except DossierError:
+            continue
+        collector = FakeCollector("c")
+        assert corpus_collect(built, collector, query) == corpus_collect(loaded, collector, query)
 
 
 def _synthetic_corpus(subjects: int) -> Corpus:
