@@ -2,16 +2,17 @@
 
 One query goes out to every routed collector.  Corpus-backed collectors
 answer on the calling thread; HTTP collectors go out at once, capped by
-``max_parallel``, each with its own timeout.  Each collector gets its own
-failure: a crash or hang in one never disturbs the others, and the caller
-always gets exactly one outcome per collector, sorted by name.
+``max_parallel``, each with its own timeout, those that have timed out most
+often in this process first.  Each collector gets its own failure: a crash
+or hang in one never disturbs the others, and the caller always gets
+exactly one outcome per collector, sorted by name.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-from collections import deque
+from collections import Counter, deque
 from time import perf_counter
 from typing import Callable, Optional, Sequence
 
@@ -29,6 +30,11 @@ from .records import (
 
 # A fetcher produces the raw records for one (collector, query) pair.
 Fetcher = Callable[[CollectorDescriptor, QueryInput], Sequence[RawRecord]]
+
+# Timeouts seen per collector name in this process.  It only orders starts
+# and never changes an outcome, so an increment lost to concurrent
+# execute_stack calls is harmless and the counter takes no lock.
+_timeouts: Counter[str] = Counter()
 
 
 def make_fetcher(corpus: Corpus, timeout_ms: int = DEFAULT_TIMEOUT_MS) -> Fetcher:
@@ -66,7 +72,10 @@ def execute_stack(
     Corpus-backed collectors run first, one after another in name order, on
     the calling thread: an in-memory lookup waits on nothing, so it gets no
     thread and no timeout.  Every other collector runs on its own thread, at
-    most ``max_parallel`` at once, started in name order.  Outcomes come
+    most ``max_parallel`` at once, started in order of most timeouts seen
+    for that collector name earlier in this process, ties in name order, so
+    a collector that tends to hang starts in the first wave and its timeout
+    overlaps the others' work rather than following it.  Outcomes come
     back sorted by collector name regardless of completion order.  A
     threaded collector still running ``per_collector_timeout_ms`` after it
     started is reported as a timeout and abandoned: its slot is freed at
@@ -90,7 +99,8 @@ def execute_stack(
         for descriptor in ordered
         if descriptor.http is None
     ]
-    waiting = deque(enumerate(d for d in ordered if d.http is not None))
+    threaded = [d for d in ordered if d.http is not None]
+    waiting = deque(enumerate(sorted(threaded, key=lambda d: -_timeouts[d.name])))
     running: dict[int, tuple[str, float]] = {}  # index -> (name, start time)
     finished: queue.SimpleQueue = queue.SimpleQueue()
 
@@ -98,6 +108,7 @@ def execute_stack(
         finished.put((index, _run(descriptor, query, fetch, started)))
 
     def timed_out(name: str, elapsed_ms: float) -> CollectorOutcome:
+        _timeouts[name] += 1
         detail = f"no response within {timeout_ms} ms"
         return CollectorOutcome(name, OutcomeStatus.TIMEOUT, (), detail, elapsed_ms)
 

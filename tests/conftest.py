@@ -3,11 +3,13 @@ from __future__ import annotations
 import json
 import socket
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import settings
 
 from dossier import EvidenceRecord, Registry, builtin_matrix
+from dossier.collect import executor
 
 # A longer search for one property at a time, selected with
 # `--hypothesis-profile=thorough`; the default profile is unchanged.
@@ -26,6 +28,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in verdicts:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def fresh_timeout_history(monkeypatch):
+    """Each test starts with no collector timeouts seen, so no test's HTTP
+    start order depends on which tests ran before it."""
+    monkeypatch.setattr(executor, "_timeouts", Counter())
 
 
 @pytest.fixture()

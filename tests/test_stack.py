@@ -1,5 +1,6 @@
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -252,6 +253,83 @@ class TestExecuteStack:
 
         execute_stack(QUERY, [descriptor("only")], fetch)
         assert seen == [("only", "probe")]
+
+
+class TestStartOrder:
+    """HTTP collectors that have timed out most often in this process start
+    first; ties start in name order.  One at a time here, so the order of
+    fetch calls is the start order."""
+
+    def run(self, names, fetch=None, timeout_ms=5000):
+        calls = []
+
+        def recording(d, q):
+            calls.append(d.name)
+            return fetch(d, q) if fetch else [record(d.name)]
+
+        outcomes = execute_stack(
+            QUERY,
+            [descriptor(n) for n in names],
+            recording,
+            ExecutionConfig(per_collector_timeout_ms=timeout_ms, max_parallel=1),
+        )
+        assert [o.collector for o in outcomes] == sorted(names)
+        return calls, [o.status for o in outcomes]
+
+    def test_with_no_timeouts_they_start_in_name_order(self):
+        for _ in range(2):
+            assert self.run(("c", "a", "b")) == (["a", "b", "c"], [OutcomeStatus.SUCCESS] * 3)
+        assert executor._timeouts == Counter()
+
+    def test_a_collector_that_timed_out_starts_first_next_time(self):
+        release = threading.Event()
+
+        def fetch(d, q):
+            if d.name == "b_slow":
+                release.wait(5)
+            return [record(d.name)]
+
+        try:
+            calls, statuses = self.run(("c", "b_slow", "a"), fetch, timeout_ms=80)
+        finally:
+            release.set()
+        assert calls == ["a", "b_slow", "c"]
+        assert statuses == [OutcomeStatus.SUCCESS, OutcomeStatus.TIMEOUT, OutcomeStatus.SUCCESS]
+        assert executor._timeouts == Counter(b_slow=1)
+        calls, statuses = self.run(("c", "b_slow", "a"))
+        assert calls == ["b_slow", "a", "c"]
+        assert statuses == [OutcomeStatus.SUCCESS] * 3
+
+    def test_more_timeouts_start_earlier(self):
+        executor._timeouts.update(c=2, b=1)
+        assert self.run(("a", "b", "c", "d"))[0] == ["c", "b", "a", "d"]
+
+    def test_a_late_result_at_its_deadline_counts_as_a_timeout(self, monkeypatch):
+        # As in test_an_outcome_finished_at_its_deadline_is_a_timeout: only
+        # b_late's thread reads the deadline, so the executor's own sweep
+        # never fires and the timeout comes from the late-result path.
+        monkeypatch.setattr(
+            executor,
+            "perf_counter",
+            lambda: 105.0 if threading.current_thread().name == "collect-b_late" else 100.0,
+        )
+        calls, statuses = self.run(("c", "b_late", "a"), timeout_ms=5000)
+        assert calls == ["a", "b_late", "c"]
+        assert statuses == [OutcomeStatus.SUCCESS, OutcomeStatus.TIMEOUT, OutcomeStatus.SUCCESS]
+        assert executor._timeouts == Counter(b_late=1)
+        assert self.run(("c", "b_late", "a"), timeout_ms=5000)[0] == ["b_late", "a", "c"]
+
+    def test_an_error_does_not_reorder(self):
+        def fetch(d, q):
+            if d.name == "b_bad":
+                raise ValueError("boom")
+            return [record(d.name)]
+
+        for _ in range(2):
+            calls, statuses = self.run(("c", "b_bad", "a"), fetch)
+            assert calls == ["a", "b_bad", "c"]
+            assert statuses == [OutcomeStatus.SUCCESS, OutcomeStatus.ERROR, OutcomeStatus.SUCCESS]
+        assert executor._timeouts == Counter()
 
 
 class TestCorpusCollectorsRunInline:
