@@ -9,12 +9,10 @@ pre-existing file at the output path is left untouched.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -41,6 +39,7 @@ from .inputs import (
     InputKind,
     Platform,
     classify_input,
+    is_utf8_text,
 )
 from .report import REPORT_FORMATS, TEMPLATE_NAMES, build_report, render, section_plan
 from .routing import ACCEPT_COLUMNS, OverlayError, builtin_matrix, load_overlay, route
@@ -80,6 +79,9 @@ class PipelineConfig:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # Imported here, not at the top: a library caller never parses arguments.
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="dossier",
         description="Build a profile report about one query from pluggable collectors.",
@@ -141,12 +143,14 @@ def _config_problem(config: PipelineConfig) -> Optional[str]:
     """Why *config* cannot run, or None when it can.
 
     One set of checks for the CLI and library callers alike, on every value.
-    A path's type is checked here and its file as it is read; only the input
-    text's type is checked here, and ``classify_input`` reads its content.
-    ``ExecutionConfig`` holds the timeout and parallelism rules.
+    A path's type is checked here and its file as it is read; the input
+    text's type and encoding are checked here, and ``classify_input`` reads
+    its content.  ``ExecutionConfig`` holds the timeout and parallelism rules.
     """
     if not isinstance(config.input_text, str):
         return f"--input must be a string, not {config.input_text!r}"
+    if not is_utf8_text(config.input_text):
+        return f"--input is not UTF-8 text: {config.input_text!r}"
     paths = {"--corpus": config.corpus_path, "--out": config.out_path}
     if config.registry_path is not None:
         paths["--registry"] = config.registry_path
@@ -177,6 +181,8 @@ def _config_problem(config: PipelineConfig) -> Optional[str]:
     if not isinstance(config.include_unattributed, bool):
         return f"--include-unattributed must be True or False, not {config.include_unattributed!r}"
     if config.pin_timestamp is not None:
+        from datetime import datetime
+
         try:
             datetime.fromisoformat(config.pin_timestamp.replace("Z", "+00:00"))
         except (AttributeError, ValueError):
@@ -270,9 +276,11 @@ def run_pipeline(config: PipelineConfig) -> int:
         pool = records if config.include_unattributed else list(best.records)
         filtered = filter_relevance(pool, best, registry, config.min_relevance)
 
-    generated_at = config.pin_timestamp or datetime.now(timezone.utc).isoformat(
-        timespec="seconds"
-    )
+    generated_at = config.pin_timestamp
+    if not generated_at:
+        from datetime import datetime, timezone
+
+        generated_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
     report = build_report(
         best,
         filtered,

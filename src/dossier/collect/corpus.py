@@ -25,6 +25,7 @@ from ..inputs import (
     QueryInput,
     canonical_identifier,
     hard_identifier_attribute,
+    is_utf8_text,
 )
 from ..similarity import NAME_MATCH_THRESHOLD, jaccard, name_tokens
 from ..vocab import ATTRIBUTE_KEYS, NAME_ATTRIBUTES
@@ -44,18 +45,21 @@ _raw_decode = json.JSONDecoder().raw_decode
 # newline optional; perfbench/gen.py writes this layout.  A string holds no
 # escape and no control character, so its raw text is its value.  A
 # platforms list is captured loosely; its raw text is trusted only once a
-# whole line holding it has been validated.  A number follows the JSON
-# scanner's grammar with [0-9], never \d, which also matches the other
-# Unicode digits that float() reads but JSON refuses.
+# whole line holding it has been validated.  A confidence is captured
+# loosely too, and _confidence checks each text against _JSON_NUMBER once.
 _STRING = r'"([^"\\\x00-\x1f]*)"'
 _FAST_LINE = re.compile(
     r'\{"attribute": ' + _STRING
-    + r', "confidence": (-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)'
+    + r', "confidence": ([-+.0-9eE]+)'
     + r', "platforms": (\[[^\]]*\])'
     + r', "subject_id": ' + _STRING
     + r', "value": ' + _STRING
     + r"\}\n?"
 ).fullmatch
+
+# The JSON scanner's number grammar, with [0-9], never \d, which also matches
+# the other Unicode digits that float() reads but JSON refuses.
+_JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?").fullmatch
 
 # The host of a lowercased URL: an optional "scheme://" and "userinfo@" are
 # skipped, and the host ends at a port, path, query or fragment.
@@ -98,19 +102,25 @@ class CorpusFact:
     confidence: float
 
 
-# One fact as a Corpus stores it: (attribute, value, confidence, platforms).
-# Its subject id is the key its row tuple is stored under.
-_Row = Tuple[str, str, float, frozenset]
+# One fact as a Corpus stores it: (attribute, value, confidence, platforms),
+# where platforms is an index into the corpus's tuple of distinct platform
+# sets.  A row holds no set, only strings and numbers, so the garbage
+# collector stops tracking it the first time it sees it.  Its subject id is
+# the key its row tuple is stored under.
+_Row = Tuple[str, str, float, int]
 # Rows of one subject are sorted by (attribute, value, confidence), stably;
-# a frozenset has no total order, so platforms never take part.
+# platforms never take part.
 _ROW_ORDER = operator.itemgetter(0, 1, 2)
 
 
 class Corpus:
     """Facts grouped by subject, with deterministic iteration order.
 
-    Each fact is stored as a plain row, not as a :class:`CorpusFact`;
-    :meth:`facts_for` builds equal ``CorpusFact`` objects on each call.
+    Each fact is stored as a plain row of strings and numbers, not as a
+    :class:`CorpusFact`; its platforms are an index into one tuple that
+    holds each distinct platform set once.  :meth:`facts_for` builds equal
+    ``CorpusFact`` objects on each call, and equal platform sets are one
+    frozenset in all of them.
     Queries are answered from indexes that each key family builds on its
     first use and keeps: a corpus is read-only once loaded, so an index
     never goes stale.  A lock makes each build happen once even when
@@ -118,23 +128,30 @@ class Corpus:
     subject ids, and equal postings are one object in every family.
     """
 
-    __slots__ = ("_by_subject", "_indexes", "_index_lock", "_postings")
+    __slots__ = ("_by_subject", "_platform_sets", "_indexes", "_index_lock", "_postings")
 
     def __init__(self, facts: Iterable[CorpusFact]) -> None:
         grouped: dict[str, list[_Row]] = {}
+        set_index: dict[frozenset, int] = {}
         for fact in facts:
+            platforms = set_index.setdefault(fact.platforms, len(set_index))
             grouped.setdefault(fact.subject_id, []).append(
-                (fact.attribute, fact.value, fact.confidence, fact.platforms)
+                (fact.attribute, fact.value, fact.confidence, platforms)
             )
-        self._set_rows(grouped)
+        self._set_rows(grouped, set_index)
 
-    def _set_rows(self, grouped: dict[str, list[_Row]]) -> None:
-        """Fill a new corpus from subject id -> its rows in any order; the
-        one constructor behind ``Corpus(facts)`` and :func:`load_corpus`."""
+    def _set_rows(
+        self, grouped: Mapping[str, Sequence[_Row]], set_index: dict[frozenset, int]
+    ) -> None:
+        """Fill a new corpus from subject id -> its rows, as a tuple already
+        in order or as a list in any order, and platform set -> the index
+        rows hold for it, numbered from 0 in insertion order; the one
+        constructor behind ``Corpus(facts)`` and :func:`load_corpus`."""
         self._by_subject: dict[str, Tuple[_Row, ...]] = {
-            subject: tuple(sorted(rows, key=_ROW_ORDER))
+            subject: rows if type(rows) is tuple else tuple(sorted(rows, key=_ROW_ORDER))
             for subject, rows in sorted(grouped.items())
         }
+        self._platform_sets: Tuple[frozenset, ...] = tuple(set_index)
         self._indexes: dict[tuple, dict[str, Tuple[str, ...]]] = {}
         self._index_lock = threading.Lock()
         self._postings: dict[Tuple[str, ...], Tuple[str, ...]] = {}
@@ -146,8 +163,9 @@ class Corpus:
     def facts_for(self, subject_id: str) -> Tuple[CorpusFact, ...]:
         """The facts of *subject_id* in (attribute, value, confidence) order,
         built anew on each call; ``()`` for a subject the corpus lacks."""
+        platform_sets = self._platform_sets
         return tuple(
-            CorpusFact(subject_id, attribute, value, platforms, confidence)
+            CorpusFact(subject_id, attribute, value, platform_sets[platforms], confidence)
             for attribute, value, confidence, platforms in self._by_subject.get(subject_id, ())
         )
 
@@ -280,13 +298,15 @@ def _host_index(by_subject: Mapping[str, Tuple[_Row, ...]]) -> dict[str, list[st
 def _confidence(number: str | int | float, confidences: dict[float, float]) -> Optional[float]:
     """*number*, a JSON number's text or its decoded value, as a float in
     [0, 1], shared through *confidences* unless it is a zero; None when it is
-    out of range, or is the text ``-0``, which JSON reads as ``0`` but
-    ``float()`` as ``-0.0``.
+    a text outside JSON's number grammar, is out of range, or is the text
+    ``-0``, which JSON reads as ``0`` but ``float()`` as ``-0.0``.
 
     The one home of the confidence rules: ``_fact_from_line`` calls it on
     every decoded confidence, and :func:`load_corpus`'s fast path on each
     confidence text the first time it meets it.
     """
+    if isinstance(number, str) and _JSON_NUMBER(number) is None:
+        return None
     try:
         confidence = float(number)
     except OverflowError:  # an integer too large for a float
@@ -301,11 +321,16 @@ def _confidence(number: str | int | float, confidences: dict[float, float]) -> O
 def _fact_from_line(
     line_number: int,
     line: str,
-    platform_sets: dict[tuple, frozenset],
+    platform_lists: dict[tuple, int],
+    set_index: dict[frozenset, int],
     confidences: dict[float, float],
 ) -> Tuple[str, _Row]:
     """The subject id and row of one fact line, decoded as JSON and checked,
-    or the :class:`CorpusError` that says why the line is no fact."""
+    or the :class:`CorpusError` that says why the line is no fact.
+
+    *platform_lists* maps each platforms list already seen, as a tuple, to
+    its set's index in *set_index*; both grow as new lists are met.
+    """
     # A line that raw_decode takes whole is exactly what json.loads would
     # return; anything else (surrounding whitespace, a BOM, trailing data,
     # malformed JSON, nesting past the recursion limit) goes to json.loads
@@ -351,20 +376,28 @@ def _fact_from_line(
         raise CorpusParseError(line_number, _PLATFORMS_MESSAGE)
     key = tuple(platforms)
     try:
-        platform_set = platform_sets.get(key)
+        platform_index = platform_lists.get(key)
     except TypeError as exc:  # a list or object entry, which is no name either
         raise CorpusParseError(line_number, _PLATFORMS_MESSAGE) from exc
-    if platform_set is None:
+    if platform_index is None:
         # Only a list of names is ever cached, so a hit is already valid.
         if not platforms or not all(isinstance(p, str) and p for p in platforms):
             raise CorpusParseError(line_number, _PLATFORMS_MESSAGE)
-        platform_set = platform_sets[key] = frozenset(platforms)
+        platform_index = platform_lists[key] = set_index.setdefault(
+            frozenset(platforms), len(set_index)
+        )
     if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
         raise CorpusParseError(line_number, "confidence must be a number")
     confidence = _confidence(confidence, confidences)
     if confidence is None:
         raise CorpusParseError(line_number, _RANGE_MESSAGE)
-    return subject_id, (shared_attribute, value, confidence, platform_set)
+    # An escape such as \ud800 decodes to a lone surrogate, which no report
+    # can encode; the fast path takes no escape, so only this path checks.
+    if not is_utf8_text(subject_id + value + "".join(platforms)):
+        raise CorpusParseError(
+            line_number, "a string is not UTF-8 text (it holds a lone surrogate)"
+        )
+    return subject_id, (shared_attribute, value, confidence, platform_index)
 
 
 def load_corpus(path: str | Path) -> Corpus:
@@ -372,10 +405,15 @@ def load_corpus(path: str | Path) -> Corpus:
 
     A line ends in ``\\n`` or ``\\r\\n``; blank lines are skipped.  Each fact
     goes straight into its subject's list of rows; no :class:`CorpusFact` is
-    built.  Repeated values are shared, not copied: facts with equal
-    platform lists hold one frozenset, a subject's id is stored once, and
-    facts with equal non-zero confidences hold one float, however the
-    number is written.
+    built.  A row is the tuple ``(attribute, value, confidence, platforms)``
+    of two strings, a float and an int: platforms is the index of the fact's
+    platform set in a tuple the corpus holds once.  A row holds nothing the
+    garbage collector tracks, so the collector stops tracking the rows, and
+    then each subject's tuple of rows, once it has seen them: a loaded
+    corpus adds almost nothing to later collections.  Repeated values are shared,
+    not copied: equal platform sets are one frozenset, a subject's id is
+    stored once, and facts with equal non-zero confidences hold one float,
+    however the number is written.
 
     A line as ``json.dumps(fact, sort_keys=True)`` writes it, whose strings
     hold no escape, whose confidence is in range and is not the integer
@@ -385,13 +423,25 @@ def load_corpus(path: str | Path) -> Corpus:
     a text not seen before stays on this path too.  Every other line, in
     any other key order or layout too, goes through ``_fact_from_line``,
     which gives the same fact, or the error, that ``json.loads`` and the
-    checks give.
+    checks give.  Only that path can decode an escape, so only it checks
+    for a lone surrogate.
     """
     path = Path(path)
-    grouped: dict[str, list[_Row]] = {}
-    platform_sets: dict[tuple, frozenset] = {}
-    # Raw platforms text of a validated line -> its shared frozenset.
-    platform_texts: dict[str, frozenset] = {}
+    # Subject id -> its rows: a sorted tuple once a run of its lines has
+    # ended, or a list, in any order, once a later line has reopened it.
+    grouped: dict[str, Sequence[_Row]] = {}
+    # The subject of the current run of lines, the list its rows go to, and
+    # whether the run is the subject's first.  A subject's lines usually
+    # come together, so most lists end in the sorted tuple the corpus keeps
+    # as soon as their run ends, and the garbage collector never sees them
+    # grow old.
+    subject, rows, fresh = None, [], False
+    # Platform set -> its index, and platforms list (as a tuple) -> the index
+    # of its set; see _fact_from_line.
+    set_index: dict[frozenset, int] = {}
+    platform_lists: dict[tuple, int] = {}
+    # Raw platforms text of a validated line -> the index of its set.
+    platform_texts: dict[str, int] = {}
     confidences: dict[float, float] = {}
     # Confidence text -> what _confidence made of it.
     confidence_texts: dict[str, Optional[float]] = {}
@@ -399,10 +449,11 @@ def load_corpus(path: str | Path) -> Corpus:
         with path.open(encoding="utf-8") as stream:
             for line_number, line in enumerate(stream, start=1):
                 match = _FAST_LINE(line)
+                row = None
                 if match is not None:
                     attribute, confidence_text, platforms_text, subject_id, value = match.groups()
                     shared_attribute = _ATTRIBUTES.get(attribute)
-                    platform_set = platform_texts.get(platforms_text)
+                    platforms = platform_texts.get(platforms_text)
                     try:
                         confidence = confidence_texts[confidence_text]
                     except KeyError:
@@ -414,28 +465,42 @@ def load_corpus(path: str | Path) -> Corpus:
                     if (
                         subject_id
                         and shared_attribute is not None
-                        and platform_set is not None
+                        and platforms is not None
                         and confidence is not None
                     ):
-                        grouped.setdefault(subject_id, []).append(
-                            (shared_attribute, value, confidence, platform_set)
-                        )
-                        continue
+                        row = (shared_attribute, value, confidence, platforms)
                 elif not line.strip():
                     continue
-                # Without its newline, so a JSON error reads as for the bare line.
-                subject_id, row = _fact_from_line(
-                    line_number, line.rstrip("\n"), platform_sets, confidences
-                )
-                if match is not None:
-                    platform_texts[platforms_text] = row[3]
-                grouped.setdefault(subject_id, []).append(row)
+                if row is None:
+                    # Without its newline, so a JSON error reads as for the bare line.
+                    subject_id, row = _fact_from_line(
+                        line_number, line.rstrip("\n"), platform_lists, set_index, confidences
+                    )
+                    if match is not None:
+                        platform_texts[platforms_text] = row[3]
+                if subject_id != subject:
+                    if fresh:
+                        rows.sort(key=_ROW_ORDER)
+                        grouped[subject] = tuple(rows)
+                    rows = grouped.get(subject_id)
+                    fresh = rows is None
+                    if fresh:
+                        rows = []
+                    elif type(rows) is tuple:
+                        # Stays a list to the end, so a subject whose lines
+                        # alternate with another's is not copied per run.
+                        rows = grouped[subject_id] = list(rows)
+                    subject = subject_id
+                rows.append(row)
+            if fresh:
+                rows.sort(key=_ROW_ORDER)
+                grouped[subject] = tuple(rows)
     except OSError as exc:
         raise CorpusIOError(f"cannot read corpus {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise CorpusIOError(f"cannot read corpus {path}: not UTF-8 ({exc.reason})") from exc
     corpus = Corpus.__new__(Corpus)
-    corpus._set_rows(grouped)
+    corpus._set_rows(grouped, set_index)
     return corpus
 
 
@@ -463,10 +528,11 @@ def corpus_collect(corpus: Corpus, collector, query: QueryInput) -> list[RawReco
     """
     records: list[RawRecord] = []
     by_subject = corpus._by_subject
+    platform_sets = corpus._platform_sets
     for subject_id in corpus._matching_subjects(query):
         locator = _batch_locator(collector.name, subject_id)
         for attribute, value, confidence, platforms in by_subject[subject_id]:
-            if collector.name in platforms:
+            if collector.name in platform_sets[platforms]:
                 records.append(
                     RawRecord(
                         attribute=attribute,

@@ -13,7 +13,6 @@ non-empty string lands on exactly one kind:
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -21,8 +20,6 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .errors import DossierError
-
-logger = logging.getLogger(__name__)
 
 
 class InputKind(Enum):
@@ -108,6 +105,19 @@ COUNTRY_CALLING_CODES: dict[str, str] = {
     "PK": "92", "PL": "48", "PT": "351", "RU": "7", "SA": "966", "SE": "46",
     "SG": "65", "TH": "66", "TR": "90", "US": "1", "VN": "84", "ZA": "27",
 }
+
+
+def is_utf8_text(text: str) -> bool:
+    """Whether *text* encodes as UTF-8, that is, holds no lone surrogate.
+
+    A JSON escape such as ``\\ud800`` decodes to one, and so does a
+    non-UTF-8 byte in a POSIX command-line argument; no report can hold it.
+    """
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def country_calling_code(region: str) -> str:
@@ -310,7 +320,9 @@ def _detect_kind(
     if text.startswith("@"):
         if platform_hint is not None:
             return InputKind.SOCIAL_HANDLE, platform_hint
-        logger.warning(
+        import logging  # only this warning needs it
+
+        logging.getLogger(__name__).warning(
             "bare @handle without a platform hint; treating %r as a keyword", raw
         )
         return InputKind.KEYWORD, None

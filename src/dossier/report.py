@@ -8,7 +8,6 @@ byte for byte once the generation timestamp is pinned.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from dataclasses import asdict, dataclass, field
@@ -307,6 +306,8 @@ def _render_markdown(report: Report) -> str:
 
 
 def _render_csv(report: Report) -> str:
+    import csv  # only this format needs it
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["section", "attribute", "value", "sources", "confidence"])

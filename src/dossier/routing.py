@@ -278,8 +278,15 @@ def load_overlay(registry: Registry, path: str | Path) -> Registry:
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
+        # An escape such as \ud800 decodes to a lone surrogate, which no
+        # UTF-8 text holds; encoding every key and value again finds one.
+        json.dumps(payload, ensure_ascii=False).encode("utf-8")
     except OSError as exc:
         raise OverlayError(f"cannot read registry overlay {path}: {exc}") from exc
+    except UnicodeEncodeError as exc:
+        raise OverlayError(
+            f"{path}: a string is not UTF-8 text (it holds a lone surrogate)"
+        ) from exc
     # JSONDecodeError, UnicodeDecodeError, or nesting past the recursion limit
     except (ValueError, RecursionError) as exc:
         raise OverlayError(f"{path}: not valid JSON: {exc}") from exc

@@ -371,6 +371,12 @@ def oracle_corpus_collect(corpus, collector_name: str, query) -> list:
 _ORACLE_CORPUS_FIELDS = frozenset({"subject_id", "attribute", "value", "platforms", "confidence"})
 
 
+def _utf8(text: str) -> bool:
+    """Whether *text* holds no lone surrogate (a JSON escape such as \\ud800
+    decodes to one)."""
+    return not any(0xD800 <= ord(char) <= 0xDFFF for char in text)
+
+
 def _oracle_fact_from_line(line_number: int, line: str) -> CorpusFact:
     try:
         payload = json.loads(line)
@@ -417,6 +423,10 @@ def _oracle_fact_from_line(line_number: int, line: str) -> CorpusFact:
         raise CorpusParseError(line_number, "confidence must be within [0, 1]") from exc
     if not 0.0 <= confidence <= 1.0:
         raise CorpusParseError(line_number, "confidence must be within [0, 1]")
+    if not all(_utf8(text) for text in (subject_id, value, *platforms)):
+        raise CorpusParseError(
+            line_number, "a string is not UTF-8 text (it holds a lone surrogate)"
+        )
     return CorpusFact(
         subject_id=subject_id,
         attribute=attribute,

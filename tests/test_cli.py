@@ -242,6 +242,39 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("corpus error: ")
         assert not out.exists()
 
+    def test_a_lone_surrogate_in_the_corpus_exits_5_without_a_report(self, tmp_path, capsys):
+        # json.dumps writes the surrogate as the escape \ud800.
+        corpus = write_jsonl(
+            tmp_path / "c.jsonl", [fact("s-1", "full_name", "Ann \ud800Smith", ["webmii"])]
+        )
+        out = tmp_path / "r.md"
+        code = main(run_args(corpus, out, "--input", "Ann Smith"))
+        assert code == EXIT_FILE_ERROR
+        assert capsys.readouterr().err == (
+            "corpus error: line 1: a string is not UTF-8 text (it holds a lone surrogate)\n"
+        )
+        assert not out.exists()
+
+    def test_a_lone_surrogate_in_the_overlay_exits_5_without_a_report(
+        self, john_smith_corpus, tmp_path, capsys
+    ):
+        overlay = tmp_path / "overlay.json"
+        overlay.write_text(json.dumps({"add": [{"name": "x\ud800", "accepts": ["email"]}]}))
+        out = tmp_path / "r.md"
+        code = main(
+            run_args(
+                john_smith_corpus,
+                out,
+                "--input",
+                "john.smith@beta.example",
+                "--registry",
+                str(overlay),
+            )
+        )
+        assert code == EXIT_FILE_ERROR
+        assert "not UTF-8 text (it holds a lone surrogate)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_overlay_exits_5(self, john_smith_corpus, tmp_path, capsys):
         overlay = tmp_path / "overlay.json"
         overlay.write_text("{broken")
@@ -437,6 +470,21 @@ class TestAtomicWrites:
         err = capsys.readouterr().err
         assert err.startswith("invalid config: ")
         assert repr(value) in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_utf8_input_exits_2_before_reading_anything(self, tmp_path, capsys):
+        # POSIX argv decoding turns the byte \xff into the lone surrogate
+        # \udcff, which no report can encode as UTF-8.
+        raw = "Harry\udcffStyles"
+        out = tmp_path / "r.md"
+        assert main(run_args("builtin", out, "--input", raw)) == EXIT_USAGE
+        assert "--input is not UTF-8 text: 'Harry\\udcffStyles'" in capsys.readouterr().err
+        # The corpus does not exist: reading it would exit 5, not 2.
+        config = PipelineConfig(
+            input_text=raw, corpus_path=str(tmp_path / "missing.jsonl"), out_path=str(out)
+        )
+        assert run_pipeline(config) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("invalid config: --input is not UTF-8 text")
         assert list(tmp_path.iterdir()) == []
 
     def test_timeout_past_the_wait_limit_exits_2_without_a_traceback(

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import random
@@ -176,6 +177,33 @@ class TestLoading:
         with pytest.raises(CorpusIOError, match="not UTF-8"):
             load_corpus(path)
 
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda r: r.update(subject_id="s-\ud800"),
+            lambda r: r.update(value="Ann \ud800Smith"),
+            lambda r: r.update(platforms=["webmii", "x\udfff"]),
+        ],
+        ids=["subject_id", "value", "platforms"],
+    )
+    def test_a_lone_surrogate_is_a_parse_error(self, tmp_path, spoil):
+        # json.dumps writes the surrogate as the escape \ud800 or \udfff,
+        # which decodes to a string no report can encode as UTF-8.
+        row = fact("s-1", "full_name", "Ann Smith", ["webmii"])
+        spoil(row)
+        path = write_jsonl(tmp_path / "c.jsonl", [small_rows()[0], row])
+        for loader in (load_corpus, oracle_load_corpus):
+            with pytest.raises(CorpusParseError) as exc_info:
+                loader(path)
+            message = "line 2: a string is not UTF-8 text (it holds a lone surrogate)"
+            assert str(exc_info.value) == message
+
+    def test_an_escaped_surrogate_pair_is_one_character(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(fact("s-1", "full_name", "Ann \U0001F600", ["webmii"])) + "\n")
+        assert "\\ud83d\\ude00" in path.read_text()
+        assert [f.value for f in load_corpus(path).facts_for("s-1")] == ["Ann \U0001F600"]
+
     def test_repeated_values_are_shared(self, tmp_path):
         rows = small_rows() + [
             fact("s-b", "alias", "Bri", ["webmii", "maltego"]),
@@ -198,6 +226,23 @@ class TestLoading:
         # -0.0 == 0.0, but neither zero takes the other's sign.
         signs = {f.subject_id: math.copysign(1.0, f.confidence) for f in facts if not f.confidence}
         assert signs == {"s-a": -1.0, "s-b": 1.0}
+
+
+@pytest.mark.parametrize("build", ["load_corpus", "Corpus(facts)"])
+def test_no_row_is_tracked_by_the_garbage_collector(tmp_path, build):
+    """A row holds only strings and numbers, so the first collection that
+    sees it stops tracking it.  A subject's tuple of rows is seen before its
+    rows in one pass, so the next collection stops tracking it too."""
+    path = write_jsonl(tmp_path / "c.jsonl", small_rows())
+    corpus = load_corpus(path)
+    if build == "Corpus(facts)":
+        corpus = Corpus([f for subject in corpus.subjects for f in corpus.facts_for(subject)])
+    groups = list(corpus._by_subject.values())
+    assert sum(map(len, groups)) == 5
+    gc.collect()
+    assert not any(gc.is_tracked(row) for group in groups for row in group)
+    gc.collect()
+    assert not any(gc.is_tracked(group) for group in groups)
 
 
 # Corpus files for the loader oracle: valid facts that repeat platform lists
@@ -234,9 +279,11 @@ _VALID_CONFIDENCES = (
     st.integers(0, 1) | st.floats(0, 1) | st.sampled_from([0.5, 0.95, -0.0, 0.0])
 ).map(json.dumps) | st.sampled_from(["1e0", "5E-1", "2.5e-1", "-0", "-0.0", "-0e3", "1.0e-400"])
 # Each a CorpusParseError: too large for a float, past int's digit limit,
-# Unicode digits (float() reads them, JSON does not), and infinite.
+# Unicode digits (float() reads them, JSON does not), infinite, and texts
+# the fast path captures but JSON's number grammar refuses.
+_GRAMMAR_OUTLAWS = ["01", ".5", "5.", "+0.5", "1e5e5", "1E", "-", "0.5e", "1e+", "0.5-"]
 _BAD_CONFIDENCES = st.sampled_from(
-    ["1" + "0" * 400, "1" + "0" * 5000, "\u0660.5", "0.\u0665", "1e400"]
+    ["1" + "0" * 400, "1" + "0" * 5000, "\u0660.5", "0.\u0665", "1e400", *_GRAMMAR_OUTLAWS]
 )
 
 
@@ -343,6 +390,17 @@ def test_streaming_load_equals_the_line_by_line_oracle(tmp_path_factory, data):
     error class with the same line number and message."""
     path = tmp_path_factory.getbasetemp() / "oracle-corpus.jsonl"
     path.write_bytes(data)
+    assert _loaded(load_corpus, path) == _loaded(oracle_load_corpus, path)
+
+
+@pytest.mark.parametrize("text", _GRAMMAR_OUTLAWS)
+def test_a_confidence_outside_the_json_grammar_is_a_parse_error(tmp_path, text):
+    """The fast path captures any run of number characters; a text that
+    float() may read but JSON refuses still fails as json.loads fails."""
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(_lines("0.5", text))
+    with pytest.raises(CorpusParseError, match="^line 2: not valid JSON"):
+        load_corpus(path)
     assert _loaded(load_corpus, path) == _loaded(oracle_load_corpus, path)
 
 
