@@ -9,6 +9,7 @@ executor to absorb.  Nothing in the offline test corpus depends on it.
 from __future__ import annotations
 
 import functools
+import io
 import json
 import os
 import urllib.error
@@ -52,11 +53,58 @@ MAX_BODY_BYTES = 1 << 20
 _B64TOKEN_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-._~+/")
 
 
+def _time_left(deadline: float) -> float:
+    """Seconds from now until *deadline*, a ``perf_counter`` reading; a
+    :class:`TimeoutError` once it has passed."""
+    left = deadline - perf_counter()
+    if left <= 0:
+        raise TimeoutError("timed out")
+    return left
+
+
+class _DeadlineReader(io.RawIOBase):
+    """The reader of a connected *sock* that sets the socket timeout to the
+    time left until *deadline* before each receive.
+
+    It stands in for the socket that ``http.client.HTTPResponse`` reads its
+    status line, headers and body from: ``makefile`` is the one socket
+    method a response calls.
+    """
+
+    def __init__(self, sock, deadline: float) -> None:
+        super().__init__()
+        self._sock = sock
+        self._deadline = deadline
+        # Counted among the socket's files, so closing the socket, as urllib
+        # does once the headers are read, leaves it open for this reader.
+        self._raw = sock.makefile("rb", buffering=0)
+
+    def makefile(self, mode: str) -> io.BufferedReader:
+        return io.BufferedReader(self)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int | None:
+        self._sock.settimeout(_time_left(self._deadline))
+        return self._raw.readinto(buffer)
+
+    def close(self) -> None:
+        self._raw.close()
+        super().close()
+
+
 @functools.cache
 def _opener():
     """The shared opener, built on first use: ``urllib.request`` pulls in
     ``http.client``, ``email`` and ``ssl``, which runs without HTTP collectors
-    never need, and building an opener reads the proxy environment."""
+    never need, and building an opener reads the proxy environment.
+
+    Its HTTP and HTTPS connections hold one deadline, their timeout from
+    their creation: the connect gets the time left, and so does each receive
+    of the status line, the headers and the body.
+    """
+    import http.client
     import urllib.request
 
     class _NoRedirect(urllib.request.HTTPRedirectHandler):
@@ -65,7 +113,41 @@ def _opener():
         def redirect_request(self, *args, **kwargs):
             return None
 
-    return urllib.request.build_opener(_NoRedirect)
+    class _Deadline:
+        """Mixed into an HTTP(S) connection, ahead of its class."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._deadline = perf_counter() + self.timeout
+
+        def connect(self):
+            self.timeout = _time_left(self._deadline)
+            super().connect()
+
+        # http.client reads every response, a proxy tunnel's too, from
+        # self.response_class(self.sock, ...).
+        def response_class(self, sock, *args, **kwargs):
+            return http.client.HTTPResponse(_DeadlineReader(sock, self._deadline), *args, **kwargs)
+
+    class _HTTPConnection(_Deadline, http.client.HTTPConnection):
+        pass
+
+    class _HTTPHandler(urllib.request.HTTPHandler):
+        def do_open(self, http_class, req, **kwargs):
+            return super().do_open(_HTTPConnection, req, **kwargs)
+
+    handlers = [_NoRedirect, _HTTPHandler]
+    if hasattr(http.client, "HTTPSConnection"):  # Python built with ssl
+
+        class _HTTPSConnection(_Deadline, http.client.HTTPSConnection):
+            pass
+
+        class _HTTPSHandler(urllib.request.HTTPSHandler):
+            def do_open(self, http_class, req, **kwargs):
+                return super().do_open(_HTTPSConnection, req, **kwargs)
+
+        handlers.append(_HTTPSHandler)
+    return urllib.request.build_opener(*handlers)
 
 
 def _extract(payload: object, path: str) -> object:
@@ -118,10 +200,14 @@ def fetch_http(
 
     All records from one response share the request URL as their provenance
     locator, marking them as one batch about one person.  *timeout_ms*
-    bounds each socket operation and the whole fetch: once it has passed, the
-    next body read raises the ``Timeout`` :class:`NetworkError`, so a server
-    that sends a byte at a time holds the fetch for at most the timeout plus
-    one socket read.
+    bounds the whole fetch from the start of its connection: the
+    connect and each receive of the status line, the headers and the body
+    wait only for the time left, and once none is left the fetch raises the
+    ``Timeout`` :class:`NetworkError`.  So a server that sends a byte at a
+    time holds the fetch for at most the timeout plus one socket read.  Name
+    resolution (``getaddrinfo``) is not bounded: the standard library offers
+    no timeout for it.  An HTTPS handshake has, for each receive, the time
+    left when its connect began.
     """
     import http.client
     import urllib.request
@@ -151,13 +237,10 @@ def fetch_http(
     if urllib.parse.urlsplit(url).scheme.lower() not in ("http", "https"):
         raise NetworkError(f"{config.method} {url} failed: not an http(s) URL")
     request = urllib.request.Request(url, method=config.method, headers=headers)
-    deadline = perf_counter() + timeout_ms / 1000.0
     try:
         with _opener().open(request, timeout=timeout_ms / 1000.0) as response:
             chunks, size = [], 0
             while size <= MAX_BODY_BYTES:
-                if perf_counter() >= deadline:
-                    raise TimeoutError
                 chunk = response.read1(MAX_BODY_BYTES + 1 - size)
                 if not chunk:
                     break

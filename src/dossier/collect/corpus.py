@@ -15,8 +15,9 @@ import re
 import threading
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from ..errors import DossierError
 from ..inputs import (
@@ -102,25 +103,42 @@ class CorpusFact:
     confidence: float
 
 
-# One fact as a Corpus stores it: (attribute, value, confidence, platforms),
-# where platforms is an index into the corpus's tuple of distinct platform
-# sets.  A row holds no set, only strings and numbers, so the garbage
-# collector stops tracking it the first time it sees it.  Its subject id is
-# the key its row tuple is stored under.
+# One fact as load_corpus and Corpus(facts) build it: (attribute, value,
+# confidence, platforms), where platforms is an index into the corpus's tuple
+# of distinct platform sets.  A row lives only until _flat sorts and
+# flattens its subject's rows; a corpus keeps no row.
 _Row = Tuple[str, str, float, int]
 # Rows of one subject are sorted by (attribute, value, confidence), stably;
 # platforms never take part.
 _ROW_ORDER = operator.itemgetter(0, 1, 2)
+# A subject's facts as a Corpus stores them: one flat tuple of its sorted
+# rows' fields, (attribute, value, confidence, platforms, attribute, ...).  It
+# holds only strings and numbers, so the garbage collector stops tracking it
+# the first time it sees it.
+_Flat = Tuple[object, ...]
+
+
+def _flat(rows: list[_Row]) -> _Flat:
+    """*rows*, sorted in place (see _ROW_ORDER), as one flat tuple."""
+    rows.sort(key=_ROW_ORDER)
+    return tuple(chain.from_iterable(rows))
+
+
+def _rows(flat: _Flat) -> Iterator[_Row]:
+    """The rows of a flat tuple, in order: its fields four at a time."""
+    fields = iter(flat)
+    return zip(fields, fields, fields, fields)
 
 
 class Corpus:
     """Facts grouped by subject, with deterministic iteration order.
 
-    Each fact is stored as a plain row of strings and numbers, not as a
-    :class:`CorpusFact`; its platforms are an index into one tuple that
-    holds each distinct platform set once.  :meth:`facts_for` builds equal
-    ``CorpusFact`` objects on each call, and equal platform sets are one
-    frozenset in all of them.
+    A subject's facts are stored as one flat tuple of strings and numbers,
+    four fields per fact (attribute, value, confidence, platforms), not as
+    :class:`CorpusFact` objects or a tuple per fact; a fact's platforms are
+    an index into one tuple that holds each distinct platform set once.
+    :meth:`facts_for` builds equal ``CorpusFact`` objects on each call, and
+    equal platform sets are one frozenset in all of them.
     Queries are answered from indexes that each key family builds on its
     first use and keeps: a corpus is read-only once loaded, so an index
     never goes stale.  A lock makes each build happen once even when
@@ -141,14 +159,14 @@ class Corpus:
         self._set_rows(grouped, set_index)
 
     def _set_rows(
-        self, grouped: Mapping[str, Sequence[_Row]], set_index: dict[frozenset, int]
+        self, grouped: Mapping[str, _Flat | list[_Row]], set_index: dict[frozenset, int]
     ) -> None:
-        """Fill a new corpus from subject id -> its rows, as a tuple already
-        in order or as a list in any order, and platform set -> the index
-        rows hold for it, numbered from 0 in insertion order; the one
-        constructor behind ``Corpus(facts)`` and :func:`load_corpus`."""
-        self._by_subject: dict[str, Tuple[_Row, ...]] = {
-            subject: rows if type(rows) is tuple else tuple(sorted(rows, key=_ROW_ORDER))
+        """Fill a new corpus from subject id -> its rows, as a flat tuple
+        already in order or as a list of rows in any order, and platform set
+        -> the index rows hold for it, numbered from 0 in insertion order;
+        the one constructor behind ``Corpus(facts)`` and :func:`load_corpus`."""
+        self._by_subject: dict[str, _Flat] = {
+            subject: rows if type(rows) is tuple else _flat(rows)
             for subject, rows in sorted(grouped.items())
         }
         self._platform_sets: Tuple[frozenset, ...] = tuple(set_index)
@@ -164,13 +182,14 @@ class Corpus:
         """The facts of *subject_id* in (attribute, value, confidence) order,
         built anew on each call; ``()`` for a subject the corpus lacks."""
         platform_sets = self._platform_sets
+        flat = self._by_subject.get(subject_id, ())
         return tuple(
             CorpusFact(subject_id, attribute, value, platform_sets[platforms], confidence)
-            for attribute, value, confidence, platforms in self._by_subject.get(subject_id, ())
+            for attribute, value, confidence, platforms in _rows(flat)
         )
 
     def __len__(self) -> int:
-        return sum(len(group) for group in self._by_subject.values())
+        return sum(map(len, self._by_subject.values())) // 4  # fields per fact
 
     def _index(self, key: tuple, build: Callable[[], dict]) -> dict[str, Tuple[str, ...]]:
         index = self._indexes.get(key)
@@ -221,7 +240,7 @@ class Corpus:
                 if any(
                     attribute in NAME_ATTRIBUTES
                     and jaccard(tokens, name_tokens(value)) >= NAME_MATCH_THRESHOLD
-                    for attribute, value, _, _ in by_subject[subject_id]
+                    for attribute, value, _, _ in _rows(by_subject[subject_id])
                 )
             ]
         if kind is InputKind.DOMAIN:
@@ -241,12 +260,12 @@ def _add(index: dict[str, list[str]], key: str, subject_id: str) -> None:
 
 
 def _identifier_index(
-    by_subject: Mapping[str, Tuple[_Row, ...]], attribute: str, region: str
+    by_subject: Mapping[str, _Flat], attribute: str, region: str
 ) -> dict[str, list[str]]:
     """Canonical *attribute* value (national phones read in *region*) -> subject ids."""
     index: dict[str, list[str]] = {}
-    for subject_id, rows in by_subject.items():
-        for row_attribute, value, _, _ in rows:
+    for subject_id, flat in by_subject.items():
+        for row_attribute, value, _, _ in _rows(flat):
             if row_attribute == attribute:
                 canonical = canonical_identifier(attribute, value, region)
                 if canonical is not None:
@@ -256,18 +275,18 @@ def _identifier_index(
     return index
 
 
-def _name_index(by_subject: Mapping[str, Tuple[_Row, ...]]) -> dict[str, list[str]]:
+def _name_index(by_subject: Mapping[str, _Flat]) -> dict[str, list[str]]:
     """Name token of any full_name or alias -> subject ids."""
     index: dict[str, list[str]] = {}
-    for subject_id, rows in by_subject.items():
-        for attribute, value, _, _ in rows:
+    for subject_id, flat in by_subject.items():
+        for attribute, value, _, _ in _rows(flat):
             if attribute in NAME_ATTRIBUTES:
                 for token in name_tokens(value):
                     _add(index, token, subject_id)
     return index
 
 
-def _host_index(by_subject: Mapping[str, Tuple[_Row, ...]]) -> dict[str, list[str]]:
+def _host_index(by_subject: Mapping[str, _Flat]) -> dict[str, list[str]]:
     """Every label suffix of an email or URL host -> subject ids.
 
     A domain is found exactly under the hosts that equal it or are its
@@ -276,8 +295,8 @@ def _host_index(by_subject: Mapping[str, Tuple[_Row, ...]]) -> dict[str, list[st
     dropped from a host.
     """
     index: dict[str, list[str]] = {}
-    for subject_id, rows in by_subject.items():
-        for attribute, value, _, _ in rows:
+    for subject_id, flat in by_subject.items():
+        for attribute, value, _, _ in _rows(flat):
             if attribute == "email":
                 # The host of the email the aggregator keeps; a malformed
                 # email has none.  (No email rule depends on the region.)
@@ -407,13 +426,15 @@ def load_corpus(path: str | Path) -> Corpus:
     goes straight into its subject's list of rows; no :class:`CorpusFact` is
     built.  A row is the tuple ``(attribute, value, confidence, platforms)``
     of two strings, a float and an int: platforms is the index of the fact's
-    platform set in a tuple the corpus holds once.  A row holds nothing the
-    garbage collector tracks, so the collector stops tracking the rows, and
-    then each subject's tuple of rows, once it has seen them: a loaded
-    corpus adds almost nothing to later collections.  Repeated values are shared,
-    not copied: equal platform sets are one frozenset, a subject's id is
-    stored once, and facts with equal non-zero confidences hold one float,
-    however the number is written.
+    platform set in a tuple the corpus holds once.  When a run of one
+    subject's lines ends, its rows are sorted and flattened into the one
+    tuple the corpus keeps for the subject, and the rows die young.  That
+    tuple holds nothing the garbage collector tracks, so the collector stops
+    tracking it once it has seen it: a loaded corpus adds almost nothing to
+    later collections.  Repeated values are shared, not copied: equal
+    platform sets are one frozenset, a subject's id is stored once, and
+    facts with equal non-zero confidences hold one float, however the
+    number is written.
 
     A line as ``json.dumps(fact, sort_keys=True)`` writes it, whose strings
     hold no escape, whose confidence is in range and is not the integer
@@ -427,14 +448,15 @@ def load_corpus(path: str | Path) -> Corpus:
     for a lone surrogate.
     """
     path = Path(path)
-    # Subject id -> its rows: a sorted tuple once a run of its lines has
-    # ended, or a list, in any order, once a later line has reopened it.
-    grouped: dict[str, Sequence[_Row]] = {}
+    # Subject id -> its rows: the sorted flat tuple the corpus keeps once a
+    # run of its lines has ended, or a list of rows, in any order, once a
+    # later line has reopened it.
+    grouped: dict[str, _Flat | list[_Row]] = {}
     # The subject of the current run of lines, the list its rows go to, and
     # whether the run is the subject's first.  A subject's lines usually
-    # come together, so most lists end in the sorted tuple the corpus keeps
-    # as soon as their run ends, and the garbage collector never sees them
-    # grow old.
+    # come together, so most lists and their rows die as soon as their run
+    # ends and is flattened, and the garbage collector never sees them grow
+    # old.
     subject, rows, fresh = None, [], False
     # Platform set -> its index, and platforms list (as a tuple) -> the index
     # of its set; see _fact_from_line.
@@ -480,8 +502,7 @@ def load_corpus(path: str | Path) -> Corpus:
                         platform_texts[platforms_text] = row[3]
                 if subject_id != subject:
                     if fresh:
-                        rows.sort(key=_ROW_ORDER)
-                        grouped[subject] = tuple(rows)
+                        grouped[subject] = _flat(rows)
                     rows = grouped.get(subject_id)
                     fresh = rows is None
                     if fresh:
@@ -489,12 +510,11 @@ def load_corpus(path: str | Path) -> Corpus:
                     elif type(rows) is tuple:
                         # Stays a list to the end, so a subject whose lines
                         # alternate with another's is not copied per run.
-                        rows = grouped[subject_id] = list(rows)
+                        rows = grouped[subject_id] = list(_rows(rows))
                     subject = subject_id
                 rows.append(row)
             if fresh:
-                rows.sort(key=_ROW_ORDER)
-                grouped[subject] = tuple(rows)
+                grouped[subject] = _flat(rows)
     except OSError as exc:
         raise CorpusIOError(f"cannot read corpus {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -531,7 +551,7 @@ def corpus_collect(corpus: Corpus, collector, query: QueryInput) -> list[RawReco
     platform_sets = corpus._platform_sets
     for subject_id in corpus._matching_subjects(query):
         locator = _batch_locator(collector.name, subject_id)
-        for attribute, value, confidence, platforms in by_subject[subject_id]:
+        for attribute, value, confidence, platforms in _rows(by_subject[subject_id]):
             if collector.name in platform_sets[platforms]:
                 records.append(
                     RawRecord(

@@ -85,8 +85,9 @@ def execute_stack(
     an error, whichever of the two threads wakes first.
 
     An abandoned fetch keeps its daemon thread until the fetch returns.
-    The HTTP adapter stops itself at its timeout, so that thread ends
-    within the timeout plus one socket read.
+    The HTTP adapter stops itself at its timeout, in the connect, the
+    status line, the headers or the body, so that thread ends within the
+    timeout plus one socket read; only name resolution is not bounded.
     """
     if not collectors:
         raise ValueError("execute_stack needs at least one collector")

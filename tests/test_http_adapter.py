@@ -71,6 +71,23 @@ class StubHandler(BaseHTTPRequestHandler):
             self.send_header("Location", "/redirected")
             self.send_header("Content-Length", "0")
             self.end_headers()
+        elif self.path in ("/drip-status", "/drip-headers"):
+            # The status line or the headers one byte every 100 ms, the rest
+            # at once: every socket read succeeds, and the dripped part takes
+            # 1.7 s (status line) or 5.3 s (headers).
+            status = b"HTTP/1.0 200 OK\r\n"
+            headers = b"Content-Type: application/json\r\nContent-Length: 2\r\n\r\n"
+            dripped = status if self.path == "/drip-status" else headers
+            try:
+                for part in (status, headers, b"{}"):
+                    if part is dripped:
+                        for i in range(len(part)):
+                            self.wfile.write(part[i : i + 1])
+                            time.sleep(0.1)
+                    else:
+                        self.wfile.write(part)
+            except OSError:
+                pass  # the client gave up
         elif self.path.startswith("/drip"):
             # One byte every 100 ms: every socket read succeeds, the body takes 5 s.
             self.send_response(200)
@@ -330,6 +347,20 @@ def test_a_dripping_response_ends_its_thread_at_the_timeout(stub_server):
     while collect_threads() > before and time.monotonic() < deadline:
         time.sleep(0.01)
     assert collect_threads() == before
+
+
+@pytest.mark.parametrize("part", ["status", "headers"])
+def test_a_dripping_status_line_or_header_block_ends_the_fetch_at_its_timeout(stub_server, part):
+    """Each receive waits only for the time left, so the fetch ends within
+    its timeout plus one 100 ms receive (and slack for a slow host), not
+    when the dripped part is complete."""
+    cfg = config(stub_server, query_template=f"/drip-{part}")
+    start = time.monotonic()
+    with pytest.raises(NetworkError) as exc_info:
+        fetch_http("svc", cfg, QUERY, timeout_ms=300)
+    elapsed = time.monotonic() - start
+    assert str(exc_info.value) == f"GET {stub_server}/drip-{part} failed: Timeout"
+    assert elapsed < 0.3 + 0.1 + 0.2
 
 
 def test_cli_import_pulls_in_no_http_library():
