@@ -157,7 +157,7 @@ def _config_problem(config: PipelineConfig) -> Optional[str]:
     for option, path in paths.items():
         if not isinstance(path, (str, os.PathLike)):
             return f"{option} must be a path, not {path!r}"
-    if config.kind not in KIND_CHOICES:
+    if not isinstance(config.kind, str) or config.kind not in KIND_CHOICES:
         return f"--kind {config.kind!r} is not one of {', '.join(sorted(KIND_CHOICES))}"
     if config.template not in TEMPLATE_NAMES:
         return f"--template {config.template!r} is not one of {', '.join(TEMPLATE_NAMES)}"
@@ -185,7 +185,7 @@ def _config_problem(config: PipelineConfig) -> Optional[str]:
 
         try:
             datetime.fromisoformat(config.pin_timestamp.replace("Z", "+00:00"))
-        except (AttributeError, ValueError):
+        except (AttributeError, TypeError, ValueError):
             return f"--pin-timestamp is not ISO 8601: {config.pin_timestamp!r}"
     return None
 

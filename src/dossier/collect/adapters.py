@@ -17,7 +17,7 @@ import urllib.parse
 from time import perf_counter
 
 from ..errors import DossierError
-from ..inputs import QueryInput
+from ..inputs import QueryInput, is_utf8_text
 from ..routing import HttpCollectorConfig
 from .records import DEFAULT_TIMEOUT_MS, RawRecord
 
@@ -169,25 +169,25 @@ def _extract(payload: object, path: str) -> object:
 
 
 def _scalars(value: object, path: str) -> list[str]:
+    """The texts of a mapped scalar, or of each element of a list of them."""
     if value is None:
         return []
-    if isinstance(value, bool):
-        return [str(value).lower()]
-    if isinstance(value, (str, int, float)):
-        return [str(value)]
-    if isinstance(value, list):
-        out: list[str] = []
-        for element in value:
-            if isinstance(element, bool):
-                out.append(str(element).lower())
-            elif isinstance(element, (str, int, float)):
-                out.append(str(element))
-            else:
+    out: list[str] = []
+    for element in value if isinstance(value, list) else [value]:
+        if isinstance(element, bool):
+            out.append(str(element).lower())
+        elif isinstance(element, (str, int, float)):
+            text = str(element)
+            if not is_utf8_text(text):
                 raise ResponseMappingError(
-                    f"field {path!r} contains a non-scalar list element"
+                    f"field {path!r} is not UTF-8 text (it holds a lone surrogate)"
                 )
-        return out
-    raise ResponseMappingError(f"field {path!r} is not a scalar or list of scalars")
+            out.append(text)
+        elif isinstance(value, list):
+            raise ResponseMappingError(f"field {path!r} contains a non-scalar list element")
+        else:
+            raise ResponseMappingError(f"field {path!r} is not a scalar or list of scalars")
+    return out
 
 
 def fetch_http(
@@ -208,6 +208,10 @@ def fetch_http(
     resolution (``getaddrinfo``) is not bounded: the standard library offers
     no timeout for it.  An HTTPS handshake has, for each receive, the time
     left when its connect began.
+
+    The body is read once, up to ``MAX_BODY_BYTES`` and one byte more, with
+    or without a Content-Length; a longer body, or a mapped string that is
+    not UTF-8 text, is a :class:`ResponseMappingError`.
     """
     import http.client
     import urllib.request
@@ -239,14 +243,7 @@ def fetch_http(
     request = urllib.request.Request(url, method=config.method, headers=headers)
     try:
         with _opener().open(request, timeout=timeout_ms / 1000.0) as response:
-            chunks, size = [], 0
-            while size <= MAX_BODY_BYTES:
-                chunk = response.read1(MAX_BODY_BYTES + 1 - size)
-                if not chunk:
-                    break
-                chunks.append(chunk)
-                size += len(chunk)
-            body = b"".join(chunks)
+            body = response.read(MAX_BODY_BYTES + 1)
     except urllib.error.HTTPError as exc:
         exc.close()
         raise BadStatusError(exc.code, url) from exc

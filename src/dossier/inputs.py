@@ -362,6 +362,11 @@ def _check_hint(
         raise InvalidForHintError(f"not a valid domain: {raw!r}")
     if kind_hint is InputKind.NAME and not _looks_like_name(text):
         raise InvalidForHintError(f"a name needs at least two alphabetic words: {raw!r}")
-    if kind_hint is InputKind.IMAGE_PATH and not Path(text).is_file():
-        raise MissingImageError(f"image file not found: {text}")
+    if kind_hint is InputKind.IMAGE_PATH:
+        try:
+            found = Path(text).is_file()
+        except OSError:  # a name too long for the file system, for one
+            found = False
+        if not found:
+            raise MissingImageError(f"image file not found: {text}")
     return None

@@ -159,6 +159,15 @@ class TestExitCodes:
         assert "no registered collector" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_an_image_name_too_long_for_the_file_system_exits_2(
+        self, john_smith_corpus, tmp_path, capsys
+    ):
+        out = tmp_path / "report.md"
+        code = main(run_args(john_smith_corpus, out, "--input", "0" * 1000, "--kind", "image"))
+        assert code == EXIT_USAGE
+        assert "image file not found" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_all_collectors_failing_exits_4(self, john_smith_corpus, tmp_path, capsys):
         overlay = tmp_path / "overlay.json"
         overlay.write_text(
@@ -412,6 +421,7 @@ class TestAtomicWrites:
         "field, value",
         [
             ("kind", "fax"),
+            ("kind", []),
             ("template", "wedding"),
             ("fmt", "pdf"),
             ("timeout_ms", 0),
@@ -419,6 +429,7 @@ class TestAtomicWrites:
             ("min_relevance", 1.5),
             ("min_relevance", True),
             ("pin_timestamp", "yesterday"),
+            ("pin_timestamp", b"2020-01-01T00:00:00Z"),
             ("input_text", 123),
             ("include_unattributed", "no"),
             ("corpus_path", 123),

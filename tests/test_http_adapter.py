@@ -1,5 +1,8 @@
 import json
 import os
+import shutil
+import socket
+import ssl
 import subprocess
 import sys
 import threading
@@ -9,12 +12,14 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 import dossier
+from dossier.cli import EXIT_OK, main
 from dossier.collect.adapters import (
     MAX_BODY_BYTES,
     BadStatusError,
     MissingCredentialError,
     NetworkError,
     ResponseMappingError,
+    _DeadlineReader,
     fetch_http,
 )
 from dossier.collect.executor import execute_stack, make_fetcher
@@ -100,10 +105,19 @@ class StubHandler(BaseHTTPRequestHandler):
             except OSError:
                 pass  # the client gave up
         elif self.path.startswith("/big"):
-            # a JSON document of exactly the requested number of bytes
+            # a JSON document of exactly the requested number of bytes;
+            # /bigclose sends no Content-Length and ends it by closing
             size = int(self.path.split("=", 1)[1])
             padding = "a" * (size - len(json.dumps({"name": ""})))
-            self._reply({"name": padding})
+            if self.path.startswith("/bigclose"):
+                self.send_response(200)
+                self.end_headers()
+                self.wfile.write(json.dumps({"name": padding}).encode("utf-8"))
+            else:
+                self._reply({"name": padding})
+        elif self.path.startswith("/surrogate"):
+            # json.dumps escapes the lone surrogate as \ud800
+            self._reply({"name": "Ann \ud800 Smith", "tags": ["ok", "\udfff"]})
         else:
             self._reply({}, status=404)
 
@@ -111,14 +125,47 @@ class StubHandler(BaseHTTPRequestHandler):
         self._reply({"name": "Posted Person"})
 
 
-@pytest.fixture(scope="module")
-def stub_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+def serve(server: ThreadingHTTPServer, scheme: str):
+    # A short poll interval, so that shutdown returns at once.
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{server.server_port}"
+    yield f"{scheme}://127.0.0.1:{server.server_port}"
     server.shutdown()
     server.server_close()
+
+
+@pytest.fixture(scope="module")
+def stub_server():
+    yield from serve(ThreadingHTTPServer(("127.0.0.1", 0), StubHandler), "http")
+
+
+@pytest.fixture(scope="module")
+def tls_stub_server(tmp_path_factory):
+    """The stub over TLS, with a throwaway self-signed certificate for
+    127.0.0.1 that the client trusts through ``SSL_CERT_FILE``."""
+    if shutil.which("openssl") is None:
+        pytest.skip("the openssl command is not installed")
+    directory = tmp_path_factory.mktemp("tls")
+    cert, key = directory / "cert.pem", directory / "key.pem"
+    command = (
+        "openssl req -x509 -nodes -days 1 -subj /CN=127.0.0.1"
+        " -newkey ec -pkeyopt ec_paramgen_curve:P-256"
+        " -addext subjectAltName=IP:127.0.0.1"
+        " -addext keyUsage=critical,digitalSignature,keyCertSign"
+    ).split()
+    subprocess.run(
+        [*command, "-keyout", str(key), "-out", str(cert)],
+        check=True,
+        capture_output=True,
+        timeout=60,
+    )
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert, key)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
+    server.socket = context.wrap_socket(server.socket, server_side=True)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setenv("SSL_CERT_FILE", str(cert))
+        yield from serve(server, "https")
 
 
 @pytest.fixture()
@@ -177,14 +224,27 @@ class TestFetchHttp:
             query_template="/person",
             response_mapping={"details": "location"},
         )
-        with pytest.raises(ResponseMappingError):
+        with pytest.raises(
+            ResponseMappingError, match=r"^field 'details' is not a scalar or list of scalars$"
+        ):
             fetch_http("svc", cfg, QUERY)
         cfg = config(
             stub_server,
             query_template="/person",
             response_mapping={"mixed": "interest"},
         )
-        with pytest.raises(ResponseMappingError):
+        with pytest.raises(
+            ResponseMappingError, match=r"^field 'mixed' contains a non-scalar list element$"
+        ):
+            fetch_http("svc", cfg, QUERY)
+
+    @pytest.mark.parametrize("path", ["name", "tags"])
+    def test_a_mapped_lone_surrogate_is_a_mapping_error(self, stub_server, path):
+        cfg = config(stub_server, query_template="/surrogate", response_mapping={path: "alias"})
+        with pytest.raises(
+            ResponseMappingError,
+            match=rf"^field '{path}' is not UTF-8 text \(it holds a lone surrogate\)$",
+        ):
             fetch_http("svc", cfg, QUERY)
 
     def test_boolean_leaf_renders_lowercase(self, stub_server):
@@ -303,6 +363,17 @@ class TestFetchHttp:
         cfg = config(stub_server, query_template=f"/big?size={MAX_BODY_BYTES + 1}")
         with pytest.raises(ResponseMappingError, match="exceeds"):
             fetch_http("svc", cfg, QUERY)
+        # Without a Content-Length the body ends when the server closes.
+        cfg = config(
+            stub_server,
+            query_template=f"/bigclose?size={MAX_BODY_BYTES}",
+            response_mapping={"name": "full_name"},
+        )
+        (record,) = fetch_http("svc", cfg, QUERY)
+        assert len(record.value) == MAX_BODY_BYTES - len('{"name": ""}')
+        cfg = config(stub_server, query_template=f"/bigclose?size={MAX_BODY_BYTES + 1}")
+        with pytest.raises(ResponseMappingError, match="exceeds"):
+            fetch_http("svc", cfg, QUERY)
 
     def test_post_method(self, stub_server):
         cfg = config(
@@ -325,6 +396,30 @@ def test_executor_absorbs_http_failures(closed_port):
     (outcome,) = execute_stack(QUERY, [dead], fetch)
     assert outcome.status is OutcomeStatus.ERROR
     assert outcome.error_detail.startswith("NetworkError:")
+
+
+def test_a_lone_surrogate_in_a_reply_fails_its_collector_not_the_run(stub_server, tmp_path):
+    surrogate = {
+        "name": "surrogate",
+        "accepts": ["email"],
+        "backend": "http",
+        "http": {
+            "base": stub_server,
+            "query_template": "/surrogate?q={value}",
+            "response_mapping": {"name": "full_name"},
+        },
+    }
+    overlay = tmp_path / "ov.json"
+    overlay.write_text(json.dumps({"add": [surrogate]}))
+    out = tmp_path / "r.md"
+    argv = ["run", "--input", "raj.reddy@example.edu", "--corpus", "builtin"]
+    argv += ["--registry", str(overlay), "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    failures = out.read_text(encoding="utf-8").split("\n## Collection failures\n", 1)[1]
+    assert (
+        "- surrogate: error (ResponseMappingError: "
+        "field 'name' is not UTF-8 text (it holds a lone surrogate))"
+    ) in failures
 
 
 def test_a_dripping_response_ends_its_thread_at_the_timeout(stub_server):
@@ -361,6 +456,59 @@ def test_a_dripping_status_line_or_header_block_ends_the_fetch_at_its_timeout(st
     elapsed = time.monotonic() - start
     assert str(exc_info.value) == f"GET {stub_server}/drip-{part} failed: Timeout"
     assert elapsed < 0.3 + 0.1 + 0.2
+
+
+def test_https_fetch_maps_its_record(tls_stub_server):
+    cfg = config(tls_stub_server, query_template="/person", response_mapping={"name": "full_name"})
+    (record,) = fetch_http("svc", cfg, QUERY)
+    assert (record.value, record.provenance) == ("Ada Lovelace", f"{tls_stub_server}/person")
+
+
+def test_a_dripping_https_status_line_ends_the_fetch_at_its_timeout(tls_stub_server):
+    cfg = config(tls_stub_server, query_template="/drip-status")
+    start = time.monotonic()
+    with pytest.raises(NetworkError) as exc_info:
+        fetch_http("svc", cfg, QUERY, timeout_ms=300)
+    elapsed = time.monotonic() - start
+    assert str(exc_info.value) == f"GET {tls_stub_server}/drip-status failed: Timeout"
+    assert elapsed < 0.3 + 0.1 + 0.2
+
+
+def test_a_reader_past_its_deadline_raises_without_receiving():
+    left, right = socket.socketpair()
+    with left, right:
+        right.sendall(b"x")
+        with _DeadlineReader(left, time.perf_counter() - 1) as reader:
+            with pytest.raises(TimeoutError):
+                reader.readinto(bytearray(1))
+        assert left.recv(1) == b"x"
+
+
+def test_a_reader_waits_only_for_the_time_left():
+    left, right = socket.socketpair()
+    left.settimeout(5)
+    with left, right, _DeadlineReader(left, time.perf_counter() + 0.2) as reader:
+        start = time.monotonic()
+        with pytest.raises(TimeoutError):
+            reader.readinto(bytearray(1))
+        assert time.monotonic() - start < 0.2 + 0.3
+
+
+def test_a_reader_reads_after_its_socket_is_closed_until_its_deadline():
+    """urllib closes the socket once the headers are read; the body is
+    still read through the reader, within the same deadline."""
+    left, right = socket.socketpair()
+    left.settimeout(1)  # so that a reader that ignores its deadline does not hang
+    deadline = time.perf_counter() + 0.25
+    with right, _DeadlineReader(left, deadline) as reader:
+        left.close()
+        right.sendall(b"hi")
+        buffer = bytearray(2)
+        assert reader.readinto(buffer) == 2
+        assert buffer == b"hi"
+        time.sleep(max(0.0, deadline - time.perf_counter()))
+        with pytest.raises(TimeoutError):
+            reader.readinto(buffer)
 
 
 def test_cli_import_pulls_in_no_http_library():
