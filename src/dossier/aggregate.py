@@ -16,7 +16,6 @@ candidate's records are filtered by relevance before reporting.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations
@@ -29,6 +28,7 @@ from .inputs import (
     InputKind,
     QueryInput,
     canonical_identifier,
+    content_id,
     hard_identifier_attribute,
 )
 from .routing import Registry
@@ -64,10 +64,7 @@ class EvidenceRecord:
     @property
     def record_id(self) -> str:
         """Stable content id; permutation of inputs never changes it."""
-        digest = hashlib.sha256(
-            "\x1f".join((self.attribute, self.value, self.source)).encode("utf-8")
-        )
-        return digest.hexdigest()[:16]
+        return content_id(self.attribute, self.value, self.source)[:16]
 
 
 @dataclass(frozen=True)

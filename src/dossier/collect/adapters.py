@@ -96,7 +96,8 @@ class _DeadlineReader(io.RawIOBase):
 
 @functools.cache
 def _opener():
-    """The shared opener, built on first use: ``urllib.request`` pulls in
+    """The shared opener, built on first use, which ``execute_stack`` makes
+    before it starts any HTTP collector: ``urllib.request`` pulls in
     ``http.client``, ``email`` and ``ssl``, which runs without HTTP collectors
     never need, and building an opener reads the proxy environment.
 

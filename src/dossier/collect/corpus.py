@@ -8,7 +8,6 @@ collector returns exactly the facts it could plausibly have found.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import operator
 import re
@@ -25,6 +24,7 @@ from ..inputs import (
     InputKind,
     QueryInput,
     canonical_identifier,
+    content_id,
     hard_identifier_attribute,
     is_utf8_text,
 )
@@ -530,8 +530,7 @@ def bundled_corpus_path() -> Path:
 
 
 def _batch_locator(collector_name: str, subject_id: str) -> str:
-    digest = hashlib.sha256(f"{collector_name}\x1f{subject_id}".encode("utf-8")).hexdigest()
-    return f"{collector_name}/{digest[:12]}"
+    return f"{collector_name}/{content_id(collector_name, subject_id)[:12]}"
 
 
 def corpus_collect(corpus: Corpus, collector, query: QueryInput) -> list[RawRecord]:

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 from ..inputs import QueryInput
 from ..routing import CollectorDescriptor
-from .adapters import fetch_http
+from .adapters import _opener, fetch_http
 from .corpus import Corpus, corpus_collect
 from .records import (
     DEFAULT_TIMEOUT_MS,
@@ -101,6 +101,11 @@ def execute_stack(
         if descriptor.http is None
     ]
     threaded = [d for d in ordered if d.http is not None]
+    if threaded:
+        # Import http.client and urllib.request here, before any deadline
+        # runs, not inside the first fetch while the others wait on the
+        # import lock; a run without HTTP collectors imports neither.
+        _opener()
     waiting = deque(enumerate(sorted(threaded, key=lambda d: -_timeouts[d.name])))
     running: dict[int, tuple[str, float]] = {}  # index -> (name, start time)
     finished: queue.SimpleQueue = queue.SimpleQueue()

@@ -21,6 +21,16 @@ from typing import Callable, Optional
 
 from .errors import DossierError
 
+# CPython's own SHA-256, as random.py takes its sha512: hashlib would load
+# OpenSSL's libcrypto, which only an HTTP collector needs.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.11 and earlier
+    except ImportError:  # a build without the built-in hash modules
+        from hashlib import sha256
+
 
 class InputKind(Enum):
     """What a query string denotes."""
@@ -118,6 +128,15 @@ def is_utf8_text(text: str) -> bool:
     except UnicodeEncodeError:
         return False
     return True
+
+
+def content_id(*parts: str) -> str:
+    """Hex SHA-256 of *parts* joined by U+001F and encoded as UTF-8.
+
+    Record, cluster and batch ids are prefixes of it.  They name content;
+    nothing rests on them being hard to forge.
+    """
+    return sha256("\x1f".join(parts).encode("utf-8")).hexdigest()
 
 
 def country_calling_code(region: str) -> str:

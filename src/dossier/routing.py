@@ -44,7 +44,8 @@ class HttpCollectorConfig:
     """Request/response wiring for an HTTP-backed collector.
 
     ``query_template`` is appended to ``base`` after substituting ``{value}``
-    (URL-encoded canonical query) and ``{kind}``, the only fields it may hold.
+    (URL-encoded canonical query) and ``{kind}``, the only fields it may hold;
+    both strings are ASCII.
     ``response_mapping`` maps dotted field paths in the JSON response body to
     attribute keys.
     Credentials are never stored inline: ``credential_env`` names an
@@ -71,6 +72,14 @@ class HttpCollectorConfig:
         for name in ("method", "query_template"):
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a string")
+        # {value} is percent-quoted and {kind} is ASCII, so these two decide
+        # whether every request line is ASCII, as http.client requires.
+        for name in ("base", "query_template"):
+            if not getattr(self, name).isascii():
+                raise ValueError(
+                    f"{name} must be ASCII (percent-encode a path, write a host "
+                    f"in its xn-- form): {getattr(self, name)!r}"
+                )
         if self.credential_env is not None and not isinstance(self.credential_env, str):
             raise ValueError("credential_env must be a string")
         try:

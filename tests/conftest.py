@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
 import socket
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
+import dossier
 from dossier import EvidenceRecord, Registry, builtin_matrix
 from dossier.collect import executor
 
@@ -71,6 +75,25 @@ BAD_QUERY_TEMPLATES = [
     "?q={",
     "?q=}",
 ]
+
+# An HTTP collector's base and query template must be ASCII: http.client
+# refuses any other request line.
+NON_ASCII_HTTP_FIELDS = [
+    ("base", "http://bücher.example"),
+    ("query_template", "/café/{value}"),
+]
+
+
+def run_probe(probe: str, *args: str) -> str:
+    """The last line *probe* prints, run in a fresh interpreter on this
+    package: the test process has imported the modules in question already."""
+    src = str(Path(dossier.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip().splitlines()[-1]
 
 
 def closed_port() -> int:

@@ -17,7 +17,7 @@ from dossier.cli import (
 )
 from dossier.collect.corpus import load_corpus
 
-from conftest import BAD_QUERY_TEMPLATES, closed_port, fact, write_jsonl
+from conftest import BAD_QUERY_TEMPLATES, NON_ASCII_HTTP_FIELDS, closed_port, fact, write_jsonl
 
 EMAIL_COLLECTORS = [
     "maltego",
@@ -374,6 +374,35 @@ class TestExitCodes:
         )
         assert code == EXIT_FILE_ERROR
         assert "registry error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", NON_ASCII_HTTP_FIELDS)
+    def test_non_ascii_base_or_query_template_exits_5_without_a_report(
+        self, john_smith_corpus, tmp_path, capsys, field, value
+    ):
+        overlay = tmp_path / "overlay.json"
+        entry = {
+            "name": "x",
+            "accepts": ["email"],
+            "backend": "http",
+            "http": {"base": "http://127.0.0.1:1", field: value},
+        }
+        overlay.write_text(json.dumps({"add": [entry]}))
+        out = tmp_path / "r.md"
+        code = main(
+            run_args(
+                john_smith_corpus,
+                out,
+                "--input",
+                "john.smith@beta.example",
+                "--registry",
+                str(overlay),
+            )
+        )
+        assert code == EXIT_FILE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("registry error: ")
+        assert f"collector 'x': {field} must be ASCII" in err
         assert not out.exists()
 
 

@@ -1,17 +1,14 @@
 import json
-import os
 import shutil
 import socket
 import ssl
 import subprocess
-import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-import dossier
 from dossier.cli import EXIT_OK, main
 from dossier.collect.adapters import (
     MAX_BODY_BYTES,
@@ -512,14 +509,8 @@ def test_a_reader_reads_after_its_socket_is_closed_until_its_deadline():
 
 
 def test_cli_import_pulls_in_no_http_library():
-    src = os.path.dirname(os.path.dirname(dossier.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = (
         "import sys, dossier.cli; "
         "print(sorted({'requests', 'urllib3', 'http.client'} & sys.modules.keys()))"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert conftest.run_probe(probe) == "[]"

@@ -1,14 +1,14 @@
 """The package's public surface: every exported name exists, no module
-imports a name it does not use, and importing the CLI leaves the stdlib
-modules only some runs need unimported."""
+imports a name it does not use, and importing the CLI, or a run that makes
+no request, leaves the stdlib modules only some runs need unimported."""
 
 import ast
-import os
-import subprocess
-import sys
+import importlib.util
 from pathlib import Path
 
 import dossier
+
+from conftest import run_probe
 
 PACKAGE = Path(dossier.__file__).parent
 
@@ -43,18 +43,57 @@ def test_no_module_imports_an_unused_name():
 
 def test_cli_import_leaves_modules_few_runs_need_unimported():
     """``logging`` serves one warning, ``argparse`` the command line, ``csv``
-    one report format and ``datetime`` an unpinned timestamp; a warm process
-    that answers queries through the library needs none of them.  Modules
-    the interpreter's own start-up imports are not the package's doing, so
-    only what ``import dossier.cli`` adds is checked."""
-    src = str(PACKAGE.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    one report format, ``datetime`` an unpinned timestamp, and OpenSSL
+    (``_hashlib``, ``ssl``) only HTTP collectors; a warm process that
+    answers queries through the library needs none of them.  Modules the
+    interpreter's own start-up imports are not the package's doing, so only
+    what ``import dossier.cli`` adds is checked."""
     probe = (
         "import sys; before = set(sys.modules); import dossier.cli; "
-        "print(sorted({'logging', 'argparse', 'csv', 'datetime'} & (sys.modules.keys() - before)))"
+        "print(sorted({'logging', 'argparse', 'csv', 'datetime', '_hashlib', 'ssl'}"
+        " & (sys.modules.keys() - before)))"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert run_probe(probe) == "[]"
+
+
+RUN_PROBE = """
+import sys
+before = set(sys.modules)
+from dossier.cli import main
+code = main(["run", "--input", "Harry Styles", "--corpus", "builtin", "--out", sys.argv[1]])
+print(code, sorted(set(sys.argv[2:]) & (sys.modules.keys() - before)))
+"""
+
+
+def test_a_corpus_only_run_loads_neither_openssl_nor_an_http_library(tmp_path):
+    """A whole ``dossier run`` on the bundled corpus makes no request, and
+    its content ids come from CPython's built-in SHA-256.  A build without
+    that falls back to ``hashlib``, which loads OpenSSL; there only the
+    modules an HTTP request needs are checked."""
+    unwanted = ["ssl", "_ssl", "http.client", "urllib.request"]
+    if importlib.util.find_spec("_sha2") or importlib.util.find_spec("_sha256"):
+        unwanted += ["hashlib", "_hashlib"]
+    assert run_probe(RUN_PROBE, str(tmp_path / "r.md"), *unwanted) == "0 []"
+
+
+FALLBACK_PROBE = """
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import hashlib
+from dossier import inputs
+from dossier.aggregate import EvidenceRecord
+from dossier.collect.corpus import _batch_locator
+record = EvidenceRecord("full_name", "Harry Styles", "pipl", 0.9, "pipl/1")
+print(inputs.sha256 is hashlib.sha256, record.record_id, _batch_locator("pipl", "s-00001"))
+"""
+
+
+def test_content_ids_fall_back_to_hashlib_with_equal_digests():
+    """Without the built-in hash modules the ids come from ``hashlib`` and
+    are the ids of the default path."""
+    from dossier.aggregate import EvidenceRecord
+    from dossier.collect.corpus import _batch_locator
+
+    record = EvidenceRecord("full_name", "Harry Styles", "pipl", 0.9, "pipl/1")
+    expected = f"True {record.record_id} {_batch_locator('pipl', 's-00001')}"
+    assert run_probe(FALLBACK_PROBE) == expected

@@ -17,7 +17,7 @@ from dossier.routing import (
     route,
 )
 
-from conftest import BAD_QUERY_TEMPLATES
+from conftest import BAD_QUERY_TEMPLATES, NON_ASCII_HTTP_FIELDS
 
 ALL_BUILTINS = [
     "bmobile",
@@ -171,6 +171,11 @@ class TestHttpCollectorConfig:
     def test_query_template_with_value_and_kind_loads(self, template):
         config = HttpCollectorConfig(base="http://h", query_template=template)
         assert config.query_template == template
+
+    @pytest.mark.parametrize("field, value", NON_ASCII_HTTP_FIELDS)
+    def test_base_and_query_template_must_be_ascii(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be ASCII"):
+            HttpCollectorConfig(**{"base": "http://h", field: value})
 
 
 class TestOverlay:

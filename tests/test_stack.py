@@ -16,6 +16,8 @@ from dossier.collect.executor import execute_stack
 from dossier.inputs import InputKind, QueryInput
 from dossier.routing import CollectorDescriptor, HttpCollectorConfig, accepts
 
+from conftest import run_probe
+
 QUERY = QueryInput(InputKind.KEYWORD, "probe", "probe")
 
 
@@ -409,3 +411,29 @@ class TestCorpusCollectorsRunInline:
             ("d_corpus", OutcomeStatus.SUCCESS),
         ]
         assert outcomes[1].error_detail == "no response within 80 ms"
+
+
+HTTP_LIBRARIES_PROBE = """
+import sys
+from dossier.collect.executor import execute_stack
+from dossier.inputs import InputKind, QueryInput
+from dossier.routing import CollectorDescriptor, HttpCollectorConfig, accepts
+
+def fetch(descriptor, query):
+    assert {"http.client", "urllib.request"} <= sys.modules.keys(), "imported in the fetch"
+    return []
+
+http = CollectorDescriptor(
+    name="h", accepts=accepts("keyword"), http=HttpCollectorConfig(base="http://unused.invalid")
+)
+imported_before = "urllib.request" in sys.modules
+[outcome] = execute_stack(QueryInput(InputKind.KEYWORD, "probe", "probe"), [http], fetch)
+print(imported_before, outcome.status.value, outcome.error_detail)
+"""
+
+
+def test_http_libraries_are_imported_before_the_first_http_collector_starts():
+    """Otherwise the first fetch of a process imports them inside its own
+    deadline, and the other first fetches wait on the import lock.  It runs
+    in a fresh interpreter, since this one has imported them already."""
+    assert run_probe(HTTP_LIBRARIES_PROBE) == "False success None"
