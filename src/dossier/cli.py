@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -191,6 +190,8 @@ def _config_problem(config: PipelineConfig) -> Optional[str]:
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
+    import tempfile  # only a report written to a file needs it
+
     directory = path.parent if str(path.parent) else Path(".")
     handle, temp_name = tempfile.mkstemp(
         dir=str(directory), prefix=path.name + ".", suffix=".tmp"

@@ -12,7 +12,6 @@ import functools
 import io
 import json
 import os
-import urllib.error
 import urllib.parse
 from time import perf_counter
 
@@ -215,6 +214,7 @@ def fetch_http(
     not UTF-8 text, is a :class:`ResponseMappingError`.
     """
     import http.client
+    import urllib.error
     import urllib.request
 
     substituted = config.query_template.format(

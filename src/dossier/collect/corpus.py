@@ -13,7 +13,6 @@ import operator
 import re
 import threading
 from dataclasses import dataclass
-from importlib import resources
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
@@ -116,6 +115,10 @@ _ROW_ORDER = operator.itemgetter(0, 1, 2)
 # holds only strings and numbers, so the garbage collector stops tracking it
 # the first time it sees it.
 _Flat = Tuple[object, ...]
+# An index's value for one key: the bare id of the one subject that holds
+# the key, or the sorted tuple of the ids of several (a list until _frozen).
+# Subject ids are always str, so ``type(posting) is str`` tells the two apart.
+_Posting = str | Tuple[str, ...]
 
 
 def _flat(rows: list[_Row]) -> _Flat:
@@ -142,11 +145,13 @@ class Corpus:
     Queries are answered from indexes that each key family builds on its
     first use and keeps: a corpus is read-only once loaded, so an index
     never goes stale.  A lock makes each build happen once even when
-    several threads ask at the same time.  Each posting is a sorted tuple of
-    subject ids, and equal postings are one object in every family.
+    several threads ask at the same time.  A key that one subject holds maps
+    to that subject's id itself, the very string the corpus keys the
+    subject's facts by, so it costs the index no object of its own; a key
+    that several subjects hold maps to the sorted tuple of their ids.
     """
 
-    __slots__ = ("_by_subject", "_platform_sets", "_indexes", "_index_lock", "_postings")
+    __slots__ = ("_by_subject", "_platform_sets", "_indexes", "_index_lock")
 
     def __init__(self, facts: Iterable[CorpusFact]) -> None:
         grouped: dict[str, list[_Row]] = {}
@@ -170,9 +175,8 @@ class Corpus:
             for subject, rows in sorted(grouped.items())
         }
         self._platform_sets: Tuple[frozenset, ...] = tuple(set_index)
-        self._indexes: dict[tuple, dict[str, Tuple[str, ...]]] = {}
+        self._indexes: dict[tuple, dict[str, _Posting]] = {}
         self._index_lock = threading.Lock()
-        self._postings: dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
     @property
     def subjects(self) -> Tuple[str, ...]:
@@ -191,25 +195,15 @@ class Corpus:
     def __len__(self) -> int:
         return sum(map(len, self._by_subject.values())) // 4  # fields per fact
 
-    def _index(self, key: tuple, build: Callable[[], dict]) -> dict[str, Tuple[str, ...]]:
+    def _index(self, key: tuple, build: Callable[[], dict]) -> dict[str, _Posting]:
+        """The index *key* names, which *build* makes on first use, once,
+        under the lock; each key maps to a bare id or a tuple (_Posting)."""
         index = self._indexes.get(key)
         if index is None:
             with self._index_lock:
                 index = self._indexes.get(key)
                 if index is None:
-                    index = self._indexes[key] = self._frozen(build())
-        return index
-
-    def _frozen(self, index: dict[str, list[str]]) -> dict[str, Tuple[str, ...]]:
-        """*index* with each posting list replaced, in place, by the shared
-        tuple of its subject ids, so no second copy of the lists is held.
-
-        Runs under ``_index_lock``, which also guards ``_postings``.
-        """
-        postings = self._postings
-        for key, ids in index.items():
-            ids = tuple(ids)
-            index[key] = postings.setdefault(ids, ids)
+                    index = self._indexes[key] = _frozen(build())
         return index
 
     def _matching_subjects(self, query: QueryInput) -> Sequence[str]:
@@ -226,13 +220,13 @@ class Corpus:
                 ("identifier", attribute, region),
                 lambda: _identifier_index(by_subject, attribute, query.region),
             )
-            return index.get(query.canonical, ())
+            return _subjects(index.get(query.canonical, ()))
         if kind in (InputKind.NAME, InputKind.KEYWORD):
             index = self._index(("name",), lambda: _name_index(by_subject))
             tokens = name_tokens(query.canonical)
             candidates = set()
             for token in tokens:
-                candidates.update(index.get(token, ()))
+                candidates.update(_subjects(index.get(token, ())))
             # Jaccard >= 0.5 needs a shared token, so only candidates can match.
             return [
                 subject_id
@@ -245,25 +239,43 @@ class Corpus:
             ]
         if kind is InputKind.DOMAIN:
             index = self._index(("host",), lambda: _host_index(by_subject))
-            return index.get(query.canonical, ())
+            return _subjects(index.get(query.canonical, ()))
         # Image queries have no offline matching rule; a corpus-backed image
         # collector simply finds nothing.
         return ()
 
 
-def _add(index: dict[str, list[str]], key: str, subject_id: str) -> None:
-    # Subjects are visited in sorted order, so each list stays sorted and a
-    # repeat can only be the last entry.
-    ids = index.setdefault(key, [])
-    if not ids or ids[-1] != subject_id:
+def _frozen(index: dict[str, str | list[str]]) -> dict[str, _Posting]:
+    """*index* with each list of subject ids replaced, in place, by its
+    tuple, so no second copy of the lists is held; a bare id stays as it is."""
+    for key, ids in index.items():
+        if type(ids) is list:
+            index[key] = tuple(ids)
+    return index
+
+
+def _subjects(posting: _Posting) -> Sequence[str]:
+    """The subject ids of one posting, sorted."""
+    return (posting,) if type(posting) is str else posting
+
+
+def _add(index: dict[str, str | list[str]], key: str, subject_id: str) -> None:
+    # A key's first subject is stored as its bare id, and a second one
+    # turns the posting into a list.  Subjects are visited in sorted order,
+    # so each list stays sorted and a repeat can only be the last entry.
+    ids = index.setdefault(key, subject_id)
+    if type(ids) is str:
+        if ids != subject_id:
+            index[key] = [ids, subject_id]
+    elif ids[-1] != subject_id:
         ids.append(subject_id)
 
 
 def _identifier_index(
     by_subject: Mapping[str, _Flat], attribute: str, region: str
-) -> dict[str, list[str]]:
+) -> dict[str, str | list[str]]:
     """Canonical *attribute* value (national phones read in *region*) -> subject ids."""
-    index: dict[str, list[str]] = {}
+    index: dict[str, str | list[str]] = {}
     for subject_id, flat in by_subject.items():
         for row_attribute, value, _, _ in _rows(flat):
             if row_attribute == attribute:
@@ -275,9 +287,9 @@ def _identifier_index(
     return index
 
 
-def _name_index(by_subject: Mapping[str, _Flat]) -> dict[str, list[str]]:
+def _name_index(by_subject: Mapping[str, _Flat]) -> dict[str, str | list[str]]:
     """Name token of any full_name or alias -> subject ids."""
-    index: dict[str, list[str]] = {}
+    index: dict[str, str | list[str]] = {}
     for subject_id, flat in by_subject.items():
         for attribute, value, _, _ in _rows(flat):
             if attribute in NAME_ATTRIBUTES:
@@ -286,7 +298,7 @@ def _name_index(by_subject: Mapping[str, _Flat]) -> dict[str, list[str]]:
     return index
 
 
-def _host_index(by_subject: Mapping[str, _Flat]) -> dict[str, list[str]]:
+def _host_index(by_subject: Mapping[str, _Flat]) -> dict[str, str | list[str]]:
     """Every label suffix of an email or URL host -> subject ids.
 
     A domain is found exactly under the hosts that equal it or are its
@@ -294,7 +306,7 @@ def _host_index(by_subject: Mapping[str, _Flat]) -> dict[str, list[str]]:
     ``blog.ample.com`` but not of ``example.com``.  Trailing dots are
     dropped from a host.
     """
-    index: dict[str, list[str]] = {}
+    index: dict[str, str | list[str]] = {}
     for subject_id, flat in by_subject.items():
         for attribute, value, _, _ in _rows(flat):
             if attribute == "email":
@@ -526,6 +538,8 @@ def load_corpus(path: str | Path) -> Corpus:
 
 def bundled_corpus_path() -> Path:
     """Filesystem path of the case-study corpus shipped with the package."""
+    from importlib import resources  # only the bundled corpus needs it
+
     return Path(resources.files("dossier").joinpath("data/case_studies.jsonl"))
 
 

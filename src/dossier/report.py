@@ -149,6 +149,8 @@ class RenderedFact:
 
 @dataclass(frozen=True)
 class ReportSection:
+    """One heading of a report and its facts, in (attribute, value) order."""
+
     title: str
     facts: Tuple[RenderedFact, ...]
 
@@ -165,6 +167,10 @@ class QueryEcho:
 
 @dataclass(frozen=True)
 class CandidateSummary:
+    """The chosen candidate's visibility and match scores, the number of
+    records in its cluster, and how many other candidates were rejected;
+    all zero when nothing was found."""
+
     visibility: float
     match: float
     cluster_size: int
@@ -173,6 +179,9 @@ class CandidateSummary:
 
 @dataclass(frozen=True)
 class CollectionFailure:
+    """A collector that did not succeed: its name, its status (``timeout``
+    or ``error``) and the error's detail, ``""`` when it has none."""
+
     collector: str
     status: str
     detail: str

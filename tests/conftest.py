@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 from hypothesis import settings
@@ -84,13 +85,14 @@ NON_ASCII_HTTP_FIELDS = [
 ]
 
 
-def run_probe(probe: str, *args: str) -> str:
-    """The last line *probe* prints, run in a fresh interpreter on this
-    package: the test process has imported the modules in question already."""
+def run_probe(probe: str, *args: str, flags: Sequence[str] = ()) -> str:
+    """The last line *probe* prints, run in a fresh interpreter, started with
+    the interpreter options *flags*, on this package: the test process has
+    imported the modules in question already."""
     src = str(Path(dossier.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     result = subprocess.run(
-        [sys.executable, "-c", probe, *args], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, *flags, "-c", probe, *args], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
     return result.stdout.strip().splitlines()[-1]

@@ -1,8 +1,10 @@
-"""The package's public surface: every exported name exists, no module
-imports a name it does not use, and importing the CLI, or a run that makes
-no request, leaves the stdlib modules only some runs need unimported."""
+"""The package's public surface: every exported name exists, every public
+class has a docstring, no module imports a name it does not use, and
+importing the CLI, or a run that makes no request, leaves the stdlib modules
+only some runs need unimported."""
 
 import ast
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -41,19 +43,41 @@ def test_no_module_imports_an_unused_name():
     assert unused == []
 
 
+def test_every_public_class_has_a_docstring():
+    """``dataclasses`` gives a class without a docstring its signature as
+    one, which tells a ``help()`` reader nothing the fields do not."""
+    undocumented = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module_name = ".".join(("dossier", *path.relative_to(PACKAGE).with_suffix("").parts))
+        module = importlib.import_module(module_name.removesuffix(".__init__"))
+        for name, value in vars(module).items():
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                doc = value.__doc__ or ""
+                if not name.startswith("_") and (not doc or doc.startswith(f"{name}(")):
+                    undocumented.append(f"{module.__name__}.{name}")
+    assert undocumented == []
+
+
 def test_cli_import_leaves_modules_few_runs_need_unimported():
     """``logging`` serves one warning, ``argparse`` the command line, ``csv``
-    one report format, ``datetime`` an unpinned timestamp, and OpenSSL
-    (``_hashlib``, ``ssl``) only HTTP collectors; a warm process that
-    answers queries through the library needs none of them.  Modules the
-    interpreter's own start-up imports are not the package's doing, so only
-    what ``import dossier.cli`` adds is checked."""
+    one report format, ``datetime`` an unpinned timestamp, ``tempfile`` (with
+    ``random`` and ``shutil``) a report written to a file,
+    ``importlib.resources`` the bundled corpus, ``urllib.error`` (with
+    ``urllib.response``) and OpenSSL (``_hashlib``, ``ssl``) only HTTP
+    collectors; a warm process that answers queries through the library
+    needs none of them.  Modules the interpreter's own start-up imports are
+    not the package's doing, so only what ``import dossier.cli`` adds is
+    checked, in an interpreter started with ``-S``: a ``.pth`` file that
+    ``site`` runs may import some of these modules first and hide them."""
+    unwanted = {
+        "logging", "argparse", "csv", "datetime", "_hashlib", "ssl", "tempfile", "random",
+        "shutil", "urllib.error", "urllib.response", "importlib.resources",
+    }
     probe = (
         "import sys; before = set(sys.modules); import dossier.cli; "
-        "print(sorted({'logging', 'argparse', 'csv', 'datetime', '_hashlib', 'ssl'}"
-        " & (sys.modules.keys() - before)))"
+        f"print(sorted(set({sorted(unwanted)!r}) & (sys.modules.keys() - before)))"
     )
-    assert run_probe(probe) == "[]"
+    assert run_probe(probe, flags=["-S"]) == "[]"
 
 
 RUN_PROBE = """
