@@ -22,6 +22,7 @@ from ..inputs import (
     DEFAULT_REGION,
     InputKind,
     QueryInput,
+    canonical_host,
     canonical_identifier,
     content_id,
     hard_identifier_attribute,
@@ -61,9 +62,10 @@ _FAST_LINE = re.compile(
 # the other Unicode digits that float() reads but JSON refuses.
 _JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?").fullmatch
 
-# The host of a lowercased URL: an optional "scheme://" and "userinfo@" are
-# skipped, and the host ends at a port, path, query or fragment.
-_URL_HOST_RE = re.compile(r"(?:(?:[a-z][a-z0-9+.-]*:)?//)?(?:[^/?#@]*@)?([^/?#:]*)")
+# The host of a URL, as written: an optional "scheme://" (in either case)
+# and "userinfo@" are skipped, and the host ends at a port, path, query or
+# fragment.
+_URL_HOST_RE = re.compile(r"(?:(?:[a-zA-Z][a-zA-Z0-9+.-]*:)?//)?(?:[^/?#@]*@)?([^/?#:]*)")
 
 
 class CorpusError(DossierError):
@@ -303,22 +305,24 @@ def _host_index(by_subject: Mapping[str, _Flat]) -> dict[str, str | list[str]]:
 
     A domain is found exactly under the hosts that equal it or are its
     subdomains on a label boundary: ``ample.com`` is a label suffix of
-    ``blog.ample.com`` but not of ``example.com``.  Trailing dots are
-    dropped from a host.
+    ``blog.ample.com`` but not of ``example.com``.  Each host is spelled by
+    :func:`~dossier.inputs.canonical_host`, as a domain query is, and a
+    malformed one is on no domain.  Trailing dots are dropped from a host.
     """
     index: dict[str, str | list[str]] = {}
     for subject_id, flat in by_subject.items():
         for attribute, value, _, _ in _rows(flat):
             if attribute == "email":
-                # The host of the email the aggregator keeps; a malformed
-                # email has none.  (No email rule depends on the region.)
+                # The host of the email the aggregator keeps, which
+                # normalize_email has spelled; a malformed email has none.
+                # (No email rule depends on the region.)
                 email = canonical_identifier("email", value, DEFAULT_REGION)
-                if email is None:
-                    continue
-                host = email.rpartition("@")[2]
+                host = None if email is None else email.rpartition("@")[2]
             elif attribute == "url":
-                host = _URL_HOST_RE.match(value.strip().lower()).group(1)
+                host = canonical_host(_URL_HOST_RE.match(value.strip()).group(1))
             else:
+                continue
+            if host is None:
                 continue
             labels = host.rstrip(".").split(".")
             for start in range(len(labels)):

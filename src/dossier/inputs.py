@@ -5,10 +5,16 @@ string is (email address, phone number, social handle, domain, person name,
 keyword, or image path), normalizes it into a canonical form, and wraps both
 in an immutable :class:`QueryInput` that the rest of the pipeline consumes.
 
-Classification without a hint applies a fixed rule order so that every
-non-empty string lands on exactly one kind:
+Classification without a hint applies a fixed rule order:
 
     email -> phone -> social handle -> domain -> name -> keyword
+
+A non-empty string lands on the first kind whose rule it meets, unless that
+kind's canonical form refuses it with a typed error: fifteen digits without
+a ``+`` are too many once the region's dialing code is prefixed
+(:class:`MalformedPhoneError`), and ``ann@ü..de`` has a host the IDNA codec
+refuses (:class:`MalformedEmailError`).  A host, in an email, a URL or a
+domain query, has one spelling, :func:`canonical_host`'s.
 """
 
 from __future__ import annotations
@@ -94,10 +100,9 @@ class QueryInput:
 
 # Exactly one "@" with non-empty local part and domain, no whitespace.
 _EMAIL_RE = re.compile(r"^[^@\s]+@[^@\s]+$")
-# Dotted labels ending in an alphabetic TLD; a single trailing dot tolerated.
-_DOMAIN_RE = re.compile(
-    r"^(?:[a-z0-9](?:[a-z0-9-]*[a-z0-9])?\.)+[a-z]{2,}\.?$", re.IGNORECASE
-)
+# A canonical host (see canonical_host): dotted labels ending in an
+# alphabetic TLD; a single trailing dot tolerated.
+_DOMAIN_RE = re.compile(r"^(?:[a-z0-9](?:[a-z0-9-]*[a-z0-9])?\.)+[a-z]{2,}\.?$")
 _PLATFORM_PREFIX_RE = re.compile(r"^(twitter|facebook|instagram):(.*)$", re.IGNORECASE)
 
 MIN_PHONE_DIGITS = 8
@@ -147,16 +152,47 @@ def country_calling_code(region: str) -> str:
     return code
 
 
-def normalize_email(raw: str) -> str:
-    """Lowercase *raw* and strip whitespace; require exactly one ``@``.
+def canonical_host(host: str) -> Optional[str]:
+    """The one spelling of *host* that emails, URLs and domain queries share,
+    or None when *host* is malformed.
 
-    Raises :class:`MalformedEmailError` when the result does not have a
-    non-empty local part and domain separated by a single ``@``.
+    An ASCII host is lowercased.  Any other host is encoded by the stdlib's
+    IDNA 2003 codec (RFC 3490, with RFC 3491 nameprep) and then lowercased,
+    since the codec keeps an ASCII label's case: ``BÜCHER.de`` and
+    ``ｂüｃｈｅｒ．de`` are ``xn--bcher-kva.de``.  A host the codec refuses,
+    one with an empty or over-long label among them, gives None.
+    """
+    if host.isascii():
+        return host.lower()
+    try:
+        return host.encode("idna").decode("ascii").lower()
+    except UnicodeError:
+        return None
+
+
+def normalize_email(raw: str) -> str:
+    """Strip whitespace from *raw*, require exactly one ``@``, lowercase the
+    local part and spell the host by :func:`canonical_host`.
+
+    Raises :class:`MalformedEmailError` when *raw* does not have a non-empty
+    local part and host separated by a single ``@``, or when its host is
+    malformed.
     """
     collapsed = "".join(raw.split())
     if not _EMAIL_RE.match(collapsed):
         raise MalformedEmailError(f"not a valid email address: {raw!r}")
-    return collapsed.lower()
+    if collapsed.isascii():
+        # canonical_host lowercases an ASCII host, so the address is
+        # lowercased whole, with no split.
+        return collapsed.lower()
+    local, _, host = collapsed.partition("@")
+    host = canonical_host(host)
+    # Nameprep can make an "@" or a space out of another character
+    # (U+FF20, U+00A8), so the result is checked as the input was.
+    email = f"{local.lower()}@{host}"
+    if host is None or not _EMAIL_RE.match(email):
+        raise MalformedEmailError(f"not a valid email host: {raw!r}")
+    return email
 
 
 def _strip_phone_noise(text: str) -> str:
@@ -283,7 +319,7 @@ _CANONICAL_FORMS: dict[InputKind, Callable[[str, Optional[Platform], str], str]]
     InputKind.EMAIL: lambda text, platform, region: normalize_email(text),
     InputKind.PHONE: lambda text, platform, region: normalize_phone(text, region),
     InputKind.SOCIAL_HANDLE: lambda text, platform, region: _canonical_handle(text, platform),
-    InputKind.DOMAIN: lambda text, platform, region: text.lower().rstrip("."),
+    InputKind.DOMAIN: lambda text, platform, region: canonical_host(text).rstrip("."),
     InputKind.NAME: lambda text, platform, region: _collapse(text.lower()),
     InputKind.KEYWORD: lambda text, platform, region: _collapse(text.lower()),
     InputKind.IMAGE_PATH: lambda text, platform, region: text,
@@ -302,8 +338,11 @@ def classify_input(
     code, or :class:`UnknownRegionError` is raised, whatever the kind.
     With *kind_hint* the string must fit that kind's syntax or
     :class:`InvalidForHintError` is raised.  Without a hint the fixed rule
-    order (email, phone, social handle, domain, name, keyword) applies and
-    every non-empty string classifies to exactly one kind.  Social handles
+    order (email, phone, social handle, domain, name, keyword) picks one
+    kind, and the string is canonicalized as that kind, which can still
+    raise: :class:`MalformedPhoneError` for ``123456789012345`` (seventeen
+    digits with the ``IN`` code), :class:`MalformedEmailError` for an
+    address whose host :func:`canonical_host` refuses.  Social handles
     are only detected from explicit ``platform:handle`` syntax or a leading
     ``@`` plus a *platform_hint*; a bare ``@handle`` without a platform falls
     back to keyword with a warning.
@@ -345,7 +384,7 @@ def _detect_kind(
             "bare @handle without a platform hint; treating %r as a keyword", raw
         )
         return InputKind.KEYWORD, None
-    if _DOMAIN_RE.match(text):
+    if _DOMAIN_RE.match(canonical_host(text) or ""):
         return InputKind.DOMAIN, None
     if _looks_like_name(text):
         return InputKind.NAME, None
@@ -377,7 +416,7 @@ def _check_hint(
                 f"{platform_hint.value!r}"
             )
         return prefixed[0]
-    if kind_hint is InputKind.DOMAIN and not _DOMAIN_RE.match(text):
+    if kind_hint is InputKind.DOMAIN and not _DOMAIN_RE.match(canonical_host(text) or ""):
         raise InvalidForHintError(f"not a valid domain: {raw!r}")
     if kind_hint is InputKind.NAME and not _looks_like_name(text):
         raise InvalidForHintError(f"a name needs at least two alphabetic words: {raw!r}")

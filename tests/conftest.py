@@ -7,7 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
 import pytest
 from hypothesis import settings
@@ -85,12 +85,19 @@ NON_ASCII_HTTP_FIELDS = [
 ]
 
 
-def run_probe(probe: str, *args: str, flags: Sequence[str] = ()) -> str:
+def run_probe(
+    probe: str, *args: str, flags: Sequence[str] = (), env: Optional[dict] = None
+) -> str:
     """The last line *probe* prints, run in a fresh interpreter, started with
-    the interpreter options *flags*, on this package: the test process has
-    imported the modules in question already."""
+    the interpreter options *flags* and the environment variables *env* set,
+    on this package: the test process has imported the modules in question
+    already."""
     src = str(Path(dossier.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        **(env or {}),
+    )
     result = subprocess.run(
         [sys.executable, *flags, "-c", probe, *args], env=env, capture_output=True, text=True, timeout=60
     )

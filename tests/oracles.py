@@ -307,9 +307,24 @@ def oracle_report_body(best, filtered, template) -> tuple:
     return sections, (best.visibility, best.match, len(best.records))
 
 
-# The host of a lowercased URL: an optional "scheme://" and "userinfo@" are
-# skipped, and the host ends at a port, path, query or fragment.
-_ORACLE_URL_HOST_RE = re.compile(r"(?:(?:[a-z][a-z0-9+.-]*:)?//)?(?:[^/?#@]*@)?([^/?#:]*)")
+# The host of a URL: an optional "scheme://" (ASCII letters, either case)
+# and "userinfo@" are skipped, and the host ends at a port, path, query or
+# fragment.
+_ORACLE_URL_HOST_RE = re.compile(
+    r"(?:(?:[A-Za-z][A-Za-z0-9+.-]*:)?//)?(?:[^/?#@]*@)?([^/?#:]*)"
+)
+
+
+def oracle_host(host: str):
+    """*host* as the host rule spells it, from the codec itself rather than
+    ``inputs.canonical_host``: lower case if ASCII, else IDNA 2003 in lower
+    case (the codec keeps an ASCII label's case); None if the codec refuses."""
+    if host.isascii():
+        return host.lower()
+    try:
+        return host.encode("idna").decode("ascii").lower()
+    except UnicodeError:
+        return None
 
 
 def _on_domain(host: str, domain: str) -> bool:
@@ -324,7 +339,8 @@ def _fact_on_domain(fact, domain: str) -> bool:
     if fact.attribute == "email":
         email = canonical_identifier("email", fact.value, DEFAULT_REGION)
         return email is not None and _on_domain(email.rpartition("@")[2], domain)
-    return _on_domain(_ORACLE_URL_HOST_RE.match(fact.value.strip().lower()).group(1), domain)
+    host = oracle_host(_ORACLE_URL_HOST_RE.match(fact.value.strip()).group(1))
+    return host is not None and _on_domain(host, domain)
 
 
 def _subject_matches(facts, query) -> bool:

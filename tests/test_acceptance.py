@@ -37,7 +37,7 @@ from dossier.routing import (
     route,
 )
 
-from conftest import closed_port, john_smith_rows, write_jsonl
+from conftest import closed_port, john_smith_rows, run_probe, write_jsonl
 from oracles import oracle_best_cluster, oracle_partition
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -532,3 +532,40 @@ def test_criterion_7_byte_identical_reports(tmp_path):
         assert code == 0
         blobs.append(out.read_bytes())
     assert len(set(blobs)) == 1
+
+
+# Five builtin queries, one of each kind but phone, each rendered in every
+# format into the directory argv[1]; prints the exit codes.
+HASH_SEED_PROBE = """
+import sys
+from dossier.cli import main
+queries = [
+    ["raj.reddy@example.edu"],
+    ["Harry Styles"],
+    ["@shahin.mzr", "--kind", "instagram"],
+    ["Hazza"],
+    ["example.edu"],
+]
+codes = [
+    main(["run", "--input", *query, "--corpus", "builtin", "--format", fmt,
+          "--pin-timestamp", sys.argv[2], "--out", f"{sys.argv[1]}/{i}.{fmt}"])
+    for i, query in enumerate(queries)
+    for fmt in ("md", "json", "csv")
+]
+print(codes)
+"""
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    """Criterion 7 reruns in one process, so under one hash seed; two
+    processes with different ``PYTHONHASHSEED`` values render the same
+    fifteen reports byte for byte."""
+    rendered = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"seed-{seed}"
+        out.mkdir()
+        codes = run_probe(HASH_SEED_PROBE, str(out), PINNED, env={"PYTHONHASHSEED": seed})
+        assert codes == str([0] * 15)
+        rendered.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert len(rendered[0]) == 15
+    assert rendered[0] == rendered[1]

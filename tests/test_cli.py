@@ -148,6 +148,13 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "invalid input" in capsys.readouterr().err
 
+    def test_a_domain_the_idna_codec_refuses_exits_2(self, john_smith_corpus, tmp_path, capsys):
+        out = tmp_path / "r.md"
+        code = main(run_args(john_smith_corpus, out, "--input", "ü..de", "--kind", "domain"))
+        assert code == EXIT_USAGE
+        assert "not a valid domain: 'ü..de'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unroutable_kind_exits_3(self, john_smith_corpus, tmp_path, capsys):
         image = tmp_path / "face.png"
         image.write_bytes(b"\x89PNG fake")
@@ -324,6 +331,27 @@ class TestExitCodes:
         )
         assert code == EXIT_FILE_ERROR
         assert "method must be a string" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_an_http_entry_that_is_no_object_exits_5_without_a_report(
+        self, john_smith_corpus, tmp_path, capsys
+    ):
+        overlay = tmp_path / "overlay.json"
+        entry = {"name": "x", "accepts": ["email"], "backend": "http", "http": "http://h"}
+        overlay.write_text(json.dumps({"add": [entry]}))
+        out = tmp_path / "r.md"
+        code = main(
+            run_args(
+                john_smith_corpus,
+                out,
+                "--input",
+                "john.smith@beta.example",
+                "--registry",
+                str(overlay),
+            )
+        )
+        assert code == EXIT_FILE_ERROR
+        assert "collector 'x': http must be an object" in capsys.readouterr().err
         assert not out.exists()
 
     def test_huge_integer_reliability_exits_5_without_a_report(
@@ -573,6 +601,21 @@ class TestAtomicWrites:
         assert "cannot write report" in capsys.readouterr().err
         assert not out.parent.exists()
 
+    def test_a_failed_rename_exits_5_and_removes_its_temp_file(
+        self, john_smith_corpus, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(source, target):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        out = tmp_path / "report.md"
+        out.write_bytes(b"precious previous report")
+        code = main(run_args(john_smith_corpus, out, "--input", "john.smith@beta.example"))
+        assert code == EXIT_FILE_ERROR
+        assert "cannot write report" in capsys.readouterr().err
+        assert out.read_bytes() == b"precious previous report"
+        assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
+
     def test_no_temp_files_left_behind(self, john_smith_corpus, tmp_path, capsys):
         out = tmp_path / "report.md"
         code = main(
@@ -765,6 +808,27 @@ class TestPipelineBehaviour:
             for f in section["facts"]
         }
         assert ("phone", "+9109876543210") in facts
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("domain", ["xn--bcher-kva.de", "bücher.de"])
+    def test_a_domain_query_finds_a_non_ascii_host_by_either_spelling(
+        self, tmp_path, capsys, domain
+    ):
+        rows = [
+            fact("s-ann", "email", "ann@bücher.de", ["maltego"]),
+            fact("s-ann", "url", "https://Blog.BÜCHER.de/x", ["maltego"]),
+            fact("s-ann", "full_name", "Ann Weber", ["maltego"]),
+            fact("s-bo", "email", "bo@bucher.de", ["maltego"]),
+        ]
+        out = tmp_path / "r.json"
+        corpus = write_jsonl(tmp_path / "hosts.jsonl", rows)
+        assert main(run_args(corpus, out, "--input", domain, "--format", "json")) == EXIT_OK
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert report["query"]["kind"] == "domain"
+        assert report["query"]["canonical"] == "xn--bcher-kva.de"
+        facts = {f["value"] for section in report["sections"] for f in section["facts"]}
+        assert {"ann@xn--bcher-kva.de", "https://Blog.BÜCHER.de/x"} <= facts
+        assert "bo@bucher.de" not in facts
         capsys.readouterr()
 
     def test_no_match_still_writes_empty_report(self, john_smith_corpus, tmp_path, capsys):

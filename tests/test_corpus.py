@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import random
+import re
 import sys
 import threading
 import time
@@ -32,7 +33,7 @@ from dossier.routing import builtin_matrix
 from dossier.vocab import ATTRIBUTE_KEYS
 
 from conftest import fact, write_jsonl
-from oracles import oracle_corpus_collect, oracle_load_corpus
+from oracles import oracle_corpus_collect, oracle_host, oracle_load_corpus
 
 
 def small_rows():
@@ -575,6 +576,29 @@ class TestCollection:
         records = corpus_collect(corpus, FakeCollector("maltego"), classify_input("ample.com"))
         assert [r.value for r in records] == ["Ann@ample .com"]
 
+    @pytest.mark.parametrize("domain", ["xn--bcher-kva.de", "bücher.de", "BÜCHER.DE"])
+    def test_domain_query_finds_a_non_ascii_host_by_any_spelling(self, tmp_path, domain):
+        rows = [
+            fact("s-email", "email", "ann@bücher.de", ["maltego"]),
+            fact("s-url", "url", "https://Blog.BÜCHER.de/x", ["maltego"]),
+            fact("s-other", "email", "ann@bucher.de", ["maltego"]),
+        ]
+        corpus = load_corpus(write_jsonl(tmp_path / "c.jsonl", rows))
+        records = corpus_collect(corpus, FakeCollector("maltego"), classify_input(domain))
+        assert [r.value for r in records] == ["ann@bücher.de", "https://Blog.BÜCHER.de/x"]
+
+    def test_a_host_the_idna_codec_refuses_is_on_no_domain(self, tmp_path):
+        rows = [
+            fact("s-empty-label", "email", "ann@ü..de", ["maltego"]),
+            fact("s-long-label", "email", "ann@" + "ü" * 64 + ".de", ["maltego"]),
+            fact("s-url", "url", "https://ü..de/x", ["maltego"]),
+            fact("s-ok", "email", "ann@ü.de", ["maltego"]),
+        ]
+        corpus = load_corpus(write_jsonl(tmp_path / "c.jsonl", rows))
+        records = corpus_collect(corpus, FakeCollector("maltego"), classify_input("ü.de"))
+        assert [r.value for r in records] == ["ann@ü.de"]
+        assert set(corpus._indexes[("host",)].values()) == {"s-ok"}
+
     def test_prefixed_stored_handle_found_by_the_same_string(self, tmp_path):
         rows = [
             fact("s-h", "social_handle_twitter", "twitter:Jack", ["maltego"]),
@@ -648,8 +672,8 @@ _identifier_facts = st.one_of(
         st.just("email"),
         st.builds(
             "{}@{}".format,
-            st.text("abcXYZ.+_", max_size=6),
-            st.text("abcXYZ.-@ ", max_size=8),
+            st.text("abcXYZüÉ.+_", max_size=6),
+            st.text("abcXYZüÜé.。-@ ", max_size=8),
         ),
     ),
     st.tuples(
@@ -675,7 +699,7 @@ _identifier_facts = st.one_of(
 
 
 def _label_suffixes(host: str) -> list[str]:
-    labels = host.split(".")
+    labels = re.split("[.\u3002\uff0e\uff61]", host)  # the dots IDNA 2003 reads
     return [".".join(labels[start:]) for start in range(len(labels))]
 
 
@@ -689,9 +713,13 @@ def test_matcher_aggregator_and_classifier_agree_on_identifiers(identifier_fact,
     exactly when the fact's canonical identifier equals the query's canonical
     form, and the aggregator keeps that fact as exactly that canonical form.
     A domain query finds an email fact exactly when the aggregator keeps the
-    email and its host is the domain or a subdomain of it."""
+    email and its host is the domain or a subdomain of it, both read through
+    the IDNA codec."""
     attribute, value = identifier_fact
     canonical = canonical_identifier(attribute, value, region)
+    if attribute == "email" and canonical is not None:
+        host = "".join(value.split()).rpartition("@")[2]
+        assert canonical.rpartition("@")[2] == oracle_host(host)
     kept = normalize_records(
         [
             CollectorOutcome(
@@ -720,7 +748,9 @@ def test_matcher_aggregator_and_classifier_agree_on_identifiers(identifier_fact,
             found = bool(corpus_collect(corpus, FakeCollector("c"), domain_query))
             assert found == (
                 canonical is not None
-                and _on_domain(canonical.rpartition("@")[2], domain_query.canonical)
+                and _on_domain(
+                    canonical.rpartition("@")[2], oracle_host(domain.strip()).rstrip(".")
+                )
             )
 
     kind, platform = _HINTS[attribute]
@@ -735,7 +765,11 @@ def test_matcher_aggregator_and_classifier_agree_on_identifiers(identifier_fact,
 @given(
     st.sampled_from(["https://", "http://", "//", "", "ftp://"]),
     st.sampled_from(["", "user@", "u:p@"]),
-    st.lists(st.sampled_from(["ample", "ex", "com", "blog", "x-y", "ab"]), min_size=1, max_size=4),
+    st.lists(
+        st.sampled_from(["ample", "ex", "com", "blog", "x-y", "ab", "bücher", "café"]),
+        min_size=1,
+        max_size=4,
+    ),
     st.sampled_from(["", ".", ".."]),
     st.sampled_from(["", ":8080"]),
     st.sampled_from(["", "/x", "/a@b.com", "?q=c.com", "#f"]),
@@ -745,12 +779,18 @@ def test_matcher_aggregator_and_classifier_agree_on_identifiers(identifier_fact,
 def test_matcher_and_classifier_agree_on_url_hosts(
     scheme, userinfo, labels, trailing, port, path, upper, data
 ):
-    """A domain query finds a URL fact exactly when the URL's host, without
-    its trailing dots and in any case, is the domain or a subdomain of it."""
+    """A domain query finds a URL fact exactly when the URL's host, read
+    through the IDNA codec, in any case and without its trailing dots, is
+    the domain or a subdomain of it.  A host the codec refuses (a non-ASCII
+    one with an empty label) is on no domain."""
     host = ".".join(labels)
-    value = f"{scheme}{userinfo}{host.upper() if upper else host}{trailing}{port}{path}"
+    written = f"{host.upper() if upper else host}{trailing}"
+    value = f"{scheme}{userinfo}{written}{port}{path}"
     domain = data.draw(
-        st.sampled_from(_label_suffixes(host) + ["ample.com", "x.ample.com", "b.com", "c.com"]),
+        st.sampled_from(
+            _label_suffixes(host)
+            + ["ample.com", "x.ample.com", "b.com", "c.com", "xn--bcher-kva.com", "CAFÉ.com"]
+        ),
         label="domain",
     )
     try:
@@ -759,15 +799,81 @@ def test_matcher_and_classifier_agree_on_url_hosts(
         return
     corpus = Corpus([CorpusFact("s", "url", value, frozenset({"c"}), 1.0)])
     found = bool(corpus_collect(corpus, FakeCollector("c"), query))
-    assert found == _on_domain(host, query.canonical)
+    canonical = oracle_host(written)
+    assert found == (
+        canonical is not None and _on_domain(canonical, oracle_host(domain).rstrip("."))
+    )
+
+
+# Labels of a host, each with its punycode label, written out so that the
+# test does not take them from the codec it checks.
+_PUNYCODE = {"bücher": "xn--bcher-kva", "café": "xn--caf-dma", "zoë": "xn--zo-ija", "blog": "blog"}
+_TLDS = ["de", "com"]
+# ASCII labels one letter or one accent away from the labels above.
+_NEAR_MISSES = ["bucher", "buecher", "cafe", "zoe", "xn--bcher", "bloq"]
+_SPELLINGS = {
+    "as is": lambda label: label,
+    "upper case": str.upper,
+    "fullwidth": lambda label: "".join(
+        chr(ord(c) + 0xFEE0) if "A" <= c <= "Z" else c for c in label.upper()
+    ),
+    "punycode": lambda label: _PUNYCODE.get(label, label),
+    "upper-case punycode": lambda label: _PUNYCODE.get(label, label).upper(),
+}
+
+
+def _spell(labels: list[str], data) -> str:
+    """*labels* joined as one host, each label and each dot spelled as drawn."""
+    host = ""
+    for i, label in enumerate(labels):
+        if i:
+            host += data.draw(st.sampled_from([".", "\uff0e", "\u3002"]), label="dot")
+        host += _SPELLINGS[data.draw(st.sampled_from(sorted(_SPELLINGS)), label="spelling")](label)
+    return host
+
+
+@given(
+    st.lists(st.sampled_from(sorted(_PUNYCODE)), min_size=1, max_size=3),
+    st.sampled_from(_TLDS),
+    st.data(),
+)
+def test_a_domain_query_finds_a_host_under_any_spelling(labels, tld, data):
+    """Whatever the spelling of a host stored in an email and in a URL, and
+    of a domain query for that host or for one of its label suffixes, the
+    query finds both facts; a near miss or a subdomain of the host finds
+    neither."""
+    labels = [*labels, tld]
+    stored = _spell(labels, data)
+    email, url = f"ann@{stored}", f"https://{stored}/x"
+    corpus = Corpus(
+        [
+            CorpusFact("s-email", "email", email, frozenset({"c"}), 1.0),
+            CorpusFact("s-url", "url", url, frozenset({"c"}), 1.0),
+        ]
+    )
+    start = data.draw(st.integers(0, len(labels) - 2), label="suffix start")
+    suffix = labels[start:]
+    misses = [
+        [data.draw(st.sampled_from(_NEAR_MISSES), label="near miss"), *suffix[1:]],
+        ["www", *labels],
+    ]
+    for query_labels, expected in [(suffix, [email, url])] + [(miss, []) for miss in misses]:
+        spelt = _spell(query_labels, data)
+        query = classify_input(spelt)
+        assert query.kind is InputKind.DOMAIN
+        assert query == classify_input(spelt, InputKind.DOMAIN)
+        assert query.canonical == ".".join(_PUNYCODE.get(label, label) for label in query_labels)
+        records = corpus_collect(corpus, FakeCollector("c"), query)
+        assert [r.value for r in records] == expected
 
 
 # Corpus facts and queries that reach every matching rule and its edges:
 # national and E.164 phones read under two regions; handles with and without
 # their own or another platform's prefix; names at Jaccard exactly 0.5
 # ("Smith" / "Ann Smith"), single tokens, no tokens at all and diacritics;
-# hosts with userinfo, a port, a trailing dot or inner whitespace, and
-# ample.com against example.com.
+# hosts with userinfo, a port, a trailing dot or inner whitespace, ample.com
+# against example.com, and hosts in Unicode, punycode or fullwidth letters,
+# with one the IDNA codec refuses.
 _PHONES = [
     "098765 43210", "+91 98765 43210", "98765-43210", "+1 (987) 654-3210",
     "987 654 3210", "+919876543210", "12345",
@@ -783,10 +889,12 @@ _NAMES = [
 _HOSTS = [
     "ample.com", "example.com", "blog.ample.com", "ample.com.", "example.com.evil.net",
     "EXAMPLE.com", "mail.corp.example", "ample .com",
+    "bücher.de", "BLOG.BÜCHER.de", "xn--bcher-kva.de", "ＥＸＡＭＰＬＥ.com", "ü..de",
 ]
 _DOMAINS = [
     "ample.com", "example.com", "blog.ample.com", "ample.com.", "evil.net", "corp.example",
     "mail.corp.example", "EXAMPLE.COM", "com",
+    "bücher.de", "BLOG.BÜCHER.de", "xn--bcher-kva.de", "ＥＸＡＭＰＬＥ.com", "ü..de",
 ]
 _emails = st.builds(
     "{}@{}".format, st.sampled_from(["ann", "Ann.Smith", " x", ""]), st.sampled_from(_HOSTS)

@@ -14,6 +14,7 @@ from dossier.inputs import (
     MissingImageError,
     Platform,
     UnknownRegionError,
+    canonical_host,
     canonical_identifier,
     classify_input,
     country_calling_code,
@@ -84,6 +85,36 @@ class TestClassificationExamples:
 
     def test_subdomain(self):
         assert classify_input("cs.cmu.edu").kind is InputKind.DOMAIN
+
+    @pytest.mark.parametrize("raw", ["bücher.de", "BÜCHER.de", "xn--bcher-kva.de", "ｂüｃｈｅｒ。DE"])
+    def test_a_non_ascii_domain_is_its_punycode(self, raw):
+        for kind in (None, InputKind.DOMAIN):
+            q = classify_input(raw, kind)
+            assert (q.kind, q.canonical) == (InputKind.DOMAIN, "xn--bcher-kva.de")
+
+    # test_domain pins "Example.COM." too.
+    @pytest.mark.parametrize(
+        "raw, kind, canonical",
+        [
+            ("example.com..", InputKind.KEYWORD, "example.com.."),
+            ("Ann@Example.com.", InputKind.EMAIL, "ann@example.com."),
+        ],
+    )
+    def test_ascii_hosts_keep_their_classification(self, raw, kind, canonical):
+        q = classify_input(raw)
+        assert (q.kind, q.canonical) == (kind, canonical)
+
+    @pytest.mark.parametrize("raw", ["ann@ü..de", "ann@" + "ü" * 64 + ".de"])
+    def test_an_email_host_the_idna_codec_refuses_is_malformed(self, raw):
+        with pytest.raises(MalformedEmailError):
+            classify_input(raw)
+        with pytest.raises(InvalidForHintError):
+            classify_input(raw, InputKind.EMAIL)
+        assert canonical_identifier("email", raw, "IN") is None
+
+    def test_a_national_number_too_long_with_its_dialing_code_raises_unhinted(self):
+        with pytest.raises(MalformedPhoneError):
+            classify_input("123456789012345")
 
     def test_short_digits_are_keyword(self):
         assert classify_input("12345").kind is InputKind.KEYWORD
@@ -159,6 +190,10 @@ class TestHintedClassification:
         with pytest.raises(InvalidForHintError):
             classify_input("not a domain", kind_hint=InputKind.DOMAIN)
 
+    def test_a_kind_hint_that_is_no_input_kind_is_refused(self):
+        with pytest.raises(InvalidForHintError, match="unsupported kind hint: 'email'"):
+            classify_input("a@b.co", kind_hint="email")
+
     def test_image_hint_existing_file(self, tmp_path):
         image = tmp_path / "face.jpg"
         image.write_bytes(b"\xff\xd8fake")
@@ -173,6 +208,17 @@ class TestHintedClassification:
 class TestNormalizers:
     def test_normalize_email_strips_all_whitespace(self):
         assert normalize_email(" User@ Example.COM ") == "user@example.com"
+
+    def test_normalize_email_spells_its_host_by_idna(self):
+        assert normalize_email("dee@ＥＸＡＭＰＬＥ.com") == "dee@example.com"
+        assert normalize_email("Zoë@BÜCHER.de") == "zoë@xn--bcher-kva.de"
+        assert normalize_email("Zoë@Example.COM") == "zoë@example.com"
+
+    @pytest.mark.parametrize("raw", ["a@b＠ü.de", "a@b＠x.de", "a@¨ü.de"])
+    def test_normalize_email_refuses_a_host_nameprep_turns_into_an_at_or_a_space(self, raw):
+        # U+FF20 becomes "@", and U+00A8 a space and a combining diaeresis.
+        with pytest.raises(MalformedEmailError):
+            normalize_email(raw)
 
     def test_normalize_email_rejects_double_at(self):
         with pytest.raises(MalformedEmailError):
@@ -255,6 +301,25 @@ def test_canonical_identifier(attribute, value, region, expected):
     assert canonical_identifier(attribute, value, region) == expected
 
 
+@pytest.mark.parametrize(
+    "host, expected",
+    [
+        ("Example.COM", "example.com"),
+        ("example.com..", "example.com.."),  # ASCII: lowercased, nothing else
+        ("bücher.de", "xn--bcher-kva.de"),
+        ("BLOG.BÜCHER.DE", "blog.xn--bcher-kva.de"),  # the codec keeps ASCII labels' case
+        ("ＥＸＡＭＰＬＥ．com", "example.com"),
+        ("bücher。de.", "xn--bcher-kva.de."),
+        ("straße.de", "strasse.de"),  # IDNA 2003, not 2008
+        ("ü..de", None),
+        ("ü" * 64 + ".de", None),
+        ("xn--ü.de", None),
+    ],
+)
+def test_canonical_host(host, expected):
+    assert canonical_host(host) == expected
+
+
 def test_query_carries_the_classification_region():
     assert classify_input("Harry Styles").region == "IN"
     assert classify_input("(412) 268-2597", default_region="US").region == "US"
@@ -332,7 +397,8 @@ def test_classification_of_canonical_form_is_stable(raw):
 _identifier_like_strings = st.lists(
     st.sampled_from(
         ["twitter:", "Facebook:", "INSTAGRAM:", "@", "+", "+1", "0", "98765", "43210",
-         "(412)", "-", ".", ":", " ", "\t", "jack", "Ann", "x.io", "é", "１２"]
+         "(412)", "-", ".", ":", " ", "\t", "jack", "Ann", "x.io", "é", "１２", "bücher",
+         "ＥＸ", "．"]
     ),
     max_size=6,
 ).map("".join)

@@ -64,14 +64,16 @@ def test_cli_import_leaves_modules_few_runs_need_unimported():
     ``random`` and ``shutil``) a report written to a file,
     ``importlib.resources`` the bundled corpus, ``urllib.error`` (with
     ``urllib.response``) and OpenSSL (``_hashlib``, ``ssl``) only HTTP
-    collectors; a warm process that answers queries through the library
+    collectors, and the IDNA codec (``encodings.idna``, ``stringprep``)
+    only a non-ASCII host; a warm process that answers queries through the library
     needs none of them.  Modules the interpreter's own start-up imports are
     not the package's doing, so only what ``import dossier.cli`` adds is
     checked, in an interpreter started with ``-S``: a ``.pth`` file that
     ``site`` runs may import some of these modules first and hide them."""
     unwanted = {
         "logging", "argparse", "csv", "datetime", "_hashlib", "ssl", "tempfile", "random",
-        "shutil", "urllib.error", "urllib.response", "importlib.resources",
+        "shutil", "urllib.error", "urllib.response", "importlib.resources", "encodings.idna",
+        "stringprep",
     }
     probe = (
         "import sys; before = set(sys.modules); import dossier.cli; "
@@ -93,8 +95,9 @@ def test_a_corpus_only_run_loads_neither_openssl_nor_an_http_library(tmp_path):
     """A whole ``dossier run`` on the bundled corpus makes no request, and
     its content ids come from CPython's built-in SHA-256.  A build without
     that falls back to ``hashlib``, which loads OpenSSL; there only the
-    modules an HTTP request needs are checked."""
-    unwanted = ["ssl", "_ssl", "http.client", "urllib.request"]
+    modules an HTTP request needs are checked.  No host in the run is
+    non-ASCII, so the IDNA codec stays unloaded too."""
+    unwanted = ["ssl", "_ssl", "http.client", "urllib.request", "encodings.idna", "stringprep"]
     if importlib.util.find_spec("_sha2") or importlib.util.find_spec("_sha256"):
         unwanted += ["hashlib", "_hashlib"]
     assert run_probe(RUN_PROBE, str(tmp_path / "r.md"), *unwanted) == "0 []"
