@@ -103,6 +103,12 @@ _EMAIL_RE = re.compile(r"^[^@\s]+@[^@\s]+$")
 # A canonical host (see canonical_host): dotted labels ending in an
 # alphabetic TLD; a single trailing dot tolerated.
 _DOMAIN_RE = re.compile(r"^(?:[a-z0-9](?:[a-z0-9-]*[a-z0-9])?\.)+[a-z]{2,}\.?$")
+# The four label separators of IDNA 2003 (RFC 3490 section 3.1).
+_IDNA_DOTS_RE = re.compile("[.\u3002\uff0e\uff61]")
+# The longest host before its root dot, and label, that DNS carries
+# (RFC 1035 section 2.3.4).
+MAX_HOST_CHARS = 253
+MAX_LABEL_CHARS = 63
 _PLATFORM_PREFIX_RE = re.compile(r"^(twitter|facebook|instagram):(.*)$", re.IGNORECASE)
 
 MIN_PHONE_DIGITS = 8
@@ -161,9 +167,21 @@ def canonical_host(host: str) -> Optional[str]:
     since the codec keeps an ASCII label's case: ``BÜCHER.de`` and
     ``ｂüｃｈｅｒ．de`` are ``xn--bcher-kva.de``.  A host the codec refuses,
     one with an empty or over-long label among them, gives None.
+
+    The codec's punycode step takes time in a label's length times its
+    distinct characters, so a host longer than DNS allows (253 characters
+    before the root dot, 63 in a label) is refused before the codec runs.
+    Nameprep rarely shortens a host (it drops a soft hyphen, composes
+    ``u`` and a combining diaeresis into ``ü``), so this refuses next to
+    no host the codec would take.
     """
     if host.isascii():
         return host.lower()
+    name = _IDNA_DOTS_RE.sub(".", host).removesuffix(".")
+    if len(name) > MAX_HOST_CHARS or any(
+        len(label) > MAX_LABEL_CHARS for label in name.split(".")
+    ):
+        return None
     try:
         return host.encode("idna").decode("ascii").lower()
     except UnicodeError:
@@ -181,10 +199,6 @@ def normalize_email(raw: str) -> str:
     collapsed = "".join(raw.split())
     if not _EMAIL_RE.match(collapsed):
         raise MalformedEmailError(f"not a valid email address: {raw!r}")
-    if collapsed.isascii():
-        # canonical_host lowercases an ASCII host, so the address is
-        # lowercased whole, with no split.
-        return collapsed.lower()
     local, _, host = collapsed.partition("@")
     host = canonical_host(host)
     # Nameprep can make an "@" or a space out of another character
@@ -313,13 +327,34 @@ def _canonical_handle(text: str, platform: Platform) -> str:
     return normalize_handle(text)
 
 
+def _domain_form(text: str) -> Optional[str]:
+    """*text*'s canonical host without its root dot, or None when *text* is
+    no domain."""
+    # Nameprep drops no whitespace character and _DOMAIN_RE takes none, so
+    # text with whitespace is no domain, and "Zoë Brook" skips the codec.
+    if len(text.split()) != 1:
+        return None
+    host = canonical_host(text)
+    if host is None or not _DOMAIN_RE.match(host):
+        return None
+    return host.rstrip(".")
+
+
+def _canonical_domain(text: str) -> str:
+    """*text* as a domain query; :class:`InvalidForHintError` if it is none."""
+    domain = _domain_form(text)
+    if domain is None:
+        raise InvalidForHintError(f"not a valid domain: {text!r}")
+    return domain
+
+
 # Query kind -> canonical form of a string of that kind (given its platform and
 # phone region); canonical_identifier applies the email, phone and handle rules.
 _CANONICAL_FORMS: dict[InputKind, Callable[[str, Optional[Platform], str], str]] = {
     InputKind.EMAIL: lambda text, platform, region: normalize_email(text),
     InputKind.PHONE: lambda text, platform, region: normalize_phone(text, region),
     InputKind.SOCIAL_HANDLE: lambda text, platform, region: _canonical_handle(text, platform),
-    InputKind.DOMAIN: lambda text, platform, region: canonical_host(text).rstrip("."),
+    InputKind.DOMAIN: lambda text, platform, region: _canonical_domain(text),
     InputKind.NAME: lambda text, platform, region: _collapse(text.lower()),
     InputKind.KEYWORD: lambda text, platform, region: _collapse(text.lower()),
     InputKind.IMAGE_PATH: lambda text, platform, region: text,
@@ -353,8 +388,8 @@ def classify_input(
     country_calling_code(default_region)  # refuses a region with no dialing code
     region = default_region.strip().upper()
     if kind_hint is None:
-        kind, platform = _detect_kind(raw, text, platform_hint)
-        canonical = _CANONICAL_FORMS[kind](text, platform, region)
+        kind, platform, domain = _detect_kind(raw, text, platform_hint)
+        canonical = domain or _CANONICAL_FORMS[kind](text, platform, region)
     else:
         kind, platform = kind_hint, _check_hint(raw, text, kind_hint, platform_hint)
         try:
@@ -366,29 +401,31 @@ def classify_input(
 
 def _detect_kind(
     raw: str, text: str, platform_hint: Optional[Platform]
-) -> tuple[InputKind, Optional[Platform]]:
-    """The kind and platform of an unhinted query, by the fixed rule order."""
+) -> tuple[InputKind, Optional[Platform], Optional[str]]:
+    """The kind and platform of an unhinted query, by the fixed rule order,
+    and its canonical form if it is a domain (the test has computed it)."""
     if _EMAIL_RE.match(text):
-        return InputKind.EMAIL, None
+        return InputKind.EMAIL, None, None
     if _looks_like_phone(text):
-        return InputKind.PHONE, None
+        return InputKind.PHONE, None, None
     prefixed = _platform_from_prefix(text)
     if prefixed is not None:
-        return InputKind.SOCIAL_HANDLE, prefixed[0]
+        return InputKind.SOCIAL_HANDLE, prefixed[0], None
     if text.startswith("@"):
         if platform_hint is not None:
-            return InputKind.SOCIAL_HANDLE, platform_hint
+            return InputKind.SOCIAL_HANDLE, platform_hint, None
         import logging  # only this warning needs it
 
         logging.getLogger(__name__).warning(
             "bare @handle without a platform hint; treating %r as a keyword", raw
         )
-        return InputKind.KEYWORD, None
-    if _DOMAIN_RE.match(canonical_host(text) or ""):
-        return InputKind.DOMAIN, None
+        return InputKind.KEYWORD, None, None
+    domain = _domain_form(text)
+    if domain is not None:
+        return InputKind.DOMAIN, None, domain
     if _looks_like_name(text):
-        return InputKind.NAME, None
-    return InputKind.KEYWORD, None
+        return InputKind.NAME, None, None
+    return InputKind.KEYWORD, None, None
 
 
 def _check_hint(
@@ -416,8 +453,6 @@ def _check_hint(
                 f"{platform_hint.value!r}"
             )
         return prefixed[0]
-    if kind_hint is InputKind.DOMAIN and not _DOMAIN_RE.match(canonical_host(text) or ""):
-        raise InvalidForHintError(f"not a valid domain: {raw!r}")
     if kind_hint is InputKind.NAME and not _looks_like_name(text):
         raise InvalidForHintError(f"a name needs at least two alphabetic words: {raw!r}")
     if kind_hint is InputKind.IMAGE_PATH:

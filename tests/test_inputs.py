@@ -1,4 +1,5 @@
 import logging
+import time
 
 import pytest
 from hypothesis import given
@@ -318,6 +319,36 @@ def test_canonical_identifier(attribute, value, region, expected):
 )
 def test_canonical_host(host, expected):
     assert canonical_host(host) == expected
+
+
+def test_canonical_host_takes_a_non_ascii_host_within_the_dns_lengths():
+    """Fullwidth letters, which nameprep maps to ASCII: 63 to a label and
+    253 to a host before its root dot are taken, one more is refused."""
+    assert canonical_host("ａ" * 63 + ".de") == "a" * 63 + ".de"
+    assert canonical_host("ａ" * 64 + ".de") is None
+    host = ".".join(["ａ" * 63] * 3 + ["ａ" * 58, "de"])
+    assert len(host) == 253
+    assert canonical_host(host) == host.replace("ａ", "a")
+    assert canonical_host(host + "。") == host.replace("ａ", "a") + "."
+    assert canonical_host(".".join(["ａ" * 63] * 3 + ["ａ" * 59, "de"])) is None
+
+
+def test_a_long_non_ascii_host_is_refused_before_the_idna_codec():
+    """The codec's punycode step takes time in a label's length times its
+    distinct characters: on a 20,000-character label of distinct CJK
+    characters it ran for about a minute.  The DNS length limits refuse
+    such a host first, whether an email's, a URL's or a query's."""
+    label = "".join(map(chr, range(0x4E00, 0x4E00 + 20_000)))
+    start = time.perf_counter()
+    assert canonical_host(label) is None
+    assert canonical_host(f"blog.{label}.de") is None
+    with pytest.raises(MalformedEmailError):
+        normalize_email(f"ann@{label}")
+    assert classify_input(label).kind is InputKind.KEYWORD
+    for raw, hint in ((f"ann@{label}", InputKind.EMAIL), (label, InputKind.DOMAIN)):
+        with pytest.raises(InvalidForHintError):
+            classify_input(raw, hint)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_query_carries_the_classification_region():

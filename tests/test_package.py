@@ -103,6 +103,17 @@ def test_a_corpus_only_run_loads_neither_openssl_nor_an_http_library(tmp_path):
     assert run_probe(RUN_PROBE, str(tmp_path / "r.md"), *unwanted) == "0 []"
 
 
+def test_a_query_with_whitespace_is_never_tried_as_a_domain_through_the_idna_codec():
+    """No domain has whitespace, so the non-ASCII name ``Zoë Brook`` is
+    classified without loading the codec."""
+    probe = (
+        "import sys; from dossier.inputs import classify_input; before = set(sys.modules); "
+        "kind = classify_input('Zoë Brook').kind.value; "
+        "print(kind, sorted({'encodings.idna', 'stringprep'} & (sys.modules.keys() - before)))"
+    )
+    assert run_probe(probe) == "name []"
+
+
 FALLBACK_PROBE = """
 import sys
 sys.modules["_sha2"] = sys.modules["_sha256"] = None
