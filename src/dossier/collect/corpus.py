@@ -239,12 +239,9 @@ class Corpus:
                     for attribute, value, _, _ in _rows(by_subject[subject_id])
                 )
             ]
-        if kind is InputKind.DOMAIN:
-            index = self._index(("host",), lambda: _host_index(by_subject))
-            return _subjects(index.get(query.canonical, ()))
-        # Image queries have no offline matching rule; a corpus-backed image
-        # collector simply finds nothing.
-        return ()
+        # The one kind left is a domain.
+        index = self._index(("host",), lambda: _host_index(by_subject))
+        return _subjects(index.get(query.canonical, ()))
 
 
 def _frozen(index: dict[str, str | list[str]]) -> dict[str, _Posting]:

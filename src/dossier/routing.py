@@ -179,7 +179,6 @@ ACCEPT_COLUMNS: dict[str, AcceptPair] = {
     "keyword": (InputKind.KEYWORD, None),
     "phone": (InputKind.PHONE, None),
     "twitter": (InputKind.SOCIAL_HANDLE, Platform.TWITTER),
-    "image": (InputKind.IMAGE_PATH, None),
 }
 
 
@@ -220,8 +219,8 @@ def builtin_matrix() -> Registry:
 def route(query: QueryInput, registry: Registry) -> list[CollectorDescriptor]:
     """Every collector accepting the query's (kind, platform), in name order.
 
-    Name queries are routed as keyword queries.  The list may be empty (for
-    example, image queries against the built-in registry).
+    Name queries are routed as keyword queries.  The list may be empty
+    when an overlay leaves a kind without collectors.
     """
     kind = InputKind.KEYWORD if query.kind is InputKind.NAME else query.kind
     platform = query.platform if query.kind is InputKind.SOCIAL_HANDLE else None
@@ -258,17 +257,16 @@ def _descriptor_from_entry(entry: object, path: Path) -> CollectorDescriptor:
     columns = entry.get("accepts")
     if not isinstance(columns, list):
         raise OverlayError(f"{path}: collector {name!r} needs an accepts list")
-    try:
-        accept_set = accepts(*columns)
-    except (KeyError, TypeError) as exc:
+    unknown = [c for c in columns if not isinstance(c, str) or c not in ACCEPT_COLUMNS]
+    if unknown:
         raise OverlayError(
-            f"{path}: collector {name!r} has an unknown accepts column "
+            f"{path}: collector {name!r} has unknown accepts columns {unknown} "
             f"(choose from {sorted(ACCEPT_COLUMNS)})"
-        ) from exc
+        )
     try:
         return CollectorDescriptor(
             name=name,
-            accepts=accept_set,
+            accepts=accepts(*columns),
             reliability=entry.get("reliability", 1.0),
             http=HttpCollectorConfig(**raw_http) if backend is Backend.HTTP else None,
         )

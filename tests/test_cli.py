@@ -156,23 +156,44 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_unroutable_kind_exits_3(self, john_smith_corpus, tmp_path, capsys):
+        overlay = tmp_path / "overlay.json"
+        # The only two built-in collectors that take a domain.
+        overlay.write_text(json.dumps({"disable": ["maltego", "vivial"]}))
+        out = tmp_path / "report.md"
+        code = main(
+            run_args(john_smith_corpus, out, "--input", "example.edu", "--registry", str(overlay))
+        )
+        assert code == EXIT_NO_COLLECTORS
+        assert "no registered collector accepts domain queries" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_kind_image_is_no_kind_and_exits_2(self, john_smith_corpus, tmp_path, capsys):
         image = tmp_path / "face.png"
         image.write_bytes(b"\x89PNG fake")
         out = tmp_path / "report.md"
-        code = main(
-            run_args(john_smith_corpus, out, "--input", str(image), "--kind", "image")
-        )
-        assert code == EXIT_NO_COLLECTORS
-        assert "no registered collector" in capsys.readouterr().err
+        code = main(run_args(john_smith_corpus, out, "--input", str(image), "--kind", "image"))
+        assert code == EXIT_USAGE
+        assert "invalid choice: 'image'" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_an_image_name_too_long_for_the_file_system_exits_2(
+    def test_an_overlay_column_image_exits_5_naming_the_unknown_column(
         self, john_smith_corpus, tmp_path, capsys
     ):
+        overlay = tmp_path / "overlay.json"
+        overlay.write_text(json.dumps({"add": [{"name": "faces", "accepts": ["image"]}]}))
         out = tmp_path / "report.md"
-        code = main(run_args(john_smith_corpus, out, "--input", "0" * 1000, "--kind", "image"))
-        assert code == EXIT_USAGE
-        assert "image file not found" in capsys.readouterr().err
+        code = main(
+            run_args(
+                john_smith_corpus,
+                out,
+                "--input",
+                "john.smith@beta.example",
+                "--registry",
+                str(overlay),
+            )
+        )
+        assert code == EXIT_FILE_ERROR
+        assert "collector 'faces' has unknown accepts columns ['image']" in capsys.readouterr().err
         assert not out.exists()
 
     def test_all_collectors_failing_exits_4(self, john_smith_corpus, tmp_path, capsys):

@@ -644,12 +644,6 @@ class TestCollection:
         for locator in by_provenance:
             assert locator.startswith("webmii/")
 
-    def test_image_queries_find_nothing(self, corpus, tmp_path):
-        from dossier.inputs import InputKind, QueryInput
-
-        q = QueryInput(InputKind.IMAGE_PATH, "f.jpg", "f.jpg")
-        assert corpus_collect(corpus, FakeCollector("webmii"), q) == []
-
     def test_collection_is_deterministic(self, corpus):
         q = classify_input("aldo@corp.example")
         first = corpus_collect(corpus, FakeCollector("maltego"), q)
@@ -1023,7 +1017,6 @@ _one_query_of_each_kind = st.tuples(
     st.tuples(st.just(InputKind.NAME), st.sampled_from(_NAMES), st.none()),
     st.tuples(st.just(InputKind.KEYWORD), st.sampled_from(_NAMES), st.none()),
     st.tuples(st.just(InputKind.DOMAIN), st.sampled_from(_DOMAINS), st.none()),
-    st.tuples(st.just(InputKind.IMAGE_PATH), st.just("face.jpg"), st.none()),
 )
 
 

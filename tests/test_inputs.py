@@ -12,7 +12,6 @@ from dossier.inputs import (
     InvalidForHintError,
     MalformedEmailError,
     MalformedPhoneError,
-    MissingImageError,
     Platform,
     UnknownRegionError,
     canonical_host,
@@ -194,16 +193,6 @@ class TestHintedClassification:
     def test_a_kind_hint_that_is_no_input_kind_is_refused(self):
         with pytest.raises(InvalidForHintError, match="unsupported kind hint: 'email'"):
             classify_input("a@b.co", kind_hint="email")
-
-    def test_image_hint_existing_file(self, tmp_path):
-        image = tmp_path / "face.jpg"
-        image.write_bytes(b"\xff\xd8fake")
-        q = classify_input(str(image), kind_hint=InputKind.IMAGE_PATH)
-        assert (q.kind, q.canonical) == (InputKind.IMAGE_PATH, str(image))
-
-    def test_image_hint_missing_file(self, tmp_path):
-        with pytest.raises(MissingImageError):
-            classify_input(str(tmp_path / "nope.jpg"), kind_hint=InputKind.IMAGE_PATH)
 
 
 class TestNormalizers:
@@ -416,8 +405,8 @@ def test_classification_of_canonical_form_is_stable(raw):
         first = classify_input(raw)
     except DossierError:
         return
-    if first.kind in (InputKind.SOCIAL_HANDLE, InputKind.IMAGE_PATH):
-        return  # canonical alone no longer carries the platform / file context
+    if first.kind is InputKind.SOCIAL_HANDLE:
+        return  # canonical alone no longer carries the platform
     again = classify_input(first.canonical)
     assert again.kind is first.kind
     assert again.canonical == first.canonical
@@ -456,6 +445,69 @@ def test_query_and_stored_fact_canonicalize_alike(raw, hints, region):
     if query.kind in (InputKind.EMAIL, InputKind.PHONE, InputKind.SOCIAL_HANDLE):
         attribute = hard_identifier_attribute(query.kind, query.platform)
         assert canonical_identifier(attribute, raw, region) == query.canonical
+
+
+# Digits around the 8-15 bounds, after a "+" or none, in groups of three.
+_phone_like_strings = st.builds(
+    lambda plus, digits, sep: plus + sep.join(digits[i : i + 3] for i in range(0, len(digits), 3)),
+    st.sampled_from(["", "+", " +", "++"]),
+    st.text("0123456789", min_size=6, max_size=18),
+    st.sampled_from(["", " ", "-", ".", ")(", "０"]),
+)
+
+
+@given(
+    _raw_strings | _identifier_like_strings | _phone_like_strings,
+    st.sampled_from([None, *Platform]),
+    st.sampled_from(["IN", "us"]),
+)
+def test_hinting_the_detected_kind_changes_nothing(raw, platform, region):
+    """Giving a query its detected kind and platform as hints changes
+    nothing: each kind's test and canonical form are one rule, with a hint
+    or without."""
+    try:
+        query = classify_input(raw, platform_hint=platform, default_region=region)
+    except DossierError:
+        return
+    assert classify_input(raw, query.kind, query.platform, default_region=region) == query
+
+
+@given(_raw_strings | _identifier_like_strings | _phone_like_strings)
+def test_a_query_is_a_phone_exactly_when_its_digits_make_one(raw):
+    """Unhinted, a string is taken for a phone number exactly when
+    normalize_phone, with no region prefix to add, accepts its digits."""
+    text = raw.strip()
+    try:
+        normalize_phone("+" + text.removeprefix("+"))
+        digits_make_a_phone = True
+    except MalformedPhoneError:
+        digits_make_a_phone = False
+    try:
+        kind = classify_input(raw).kind
+    except MalformedPhoneError as exc:
+        # Only the region's dialing code can make a detected phone too long.
+        assert "after region prefix" in str(exc)
+        kind = InputKind.PHONE
+    except DossierError:
+        return
+    assert (kind is InputKind.PHONE) == digits_make_a_phone
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ("+1 (41a) 555", "non-digit characters in phone number: '+1 (41a) 555'"),
+        (" +() ", "non-digit characters in phone number: ' +() '"),
+        ("１２３４５６７８", "non-digit characters in phone number: '１２３４５６７８'"),
+        ("+1234-567", "fewer than 8 digits: '+1234-567'"),
+        ("+1234567890123456", "more than 15 digits: '+1234567890123456'"),
+        ("98765432101234", "more than 15 digits after region prefix: '98765432101234'"),
+    ],
+)
+def test_normalize_phone_names_what_is_wrong(raw, message):
+    with pytest.raises(MalformedPhoneError) as caught:
+        normalize_phone(raw)
+    assert str(caught.value) == message
 
 
 @given(st.text(alphabet="0123456789", min_size=8, max_size=15))

@@ -93,10 +93,6 @@ class TestRouting:
         keyword_q = classify_input("harrystyles", kind_hint=InputKind.KEYWORD)
         assert names(route(name_q, registry)) == names(route(keyword_q, registry))
 
-    def test_image_routes_nowhere(self, registry):
-        q = QueryInput(InputKind.IMAGE_PATH, "x.jpg", "x.jpg")
-        assert route(q, registry) == []
-
     def test_adding_a_collector_never_removes_routes(self, registry):
         q = classify_input("probe@example.com")
         before = names(route(q, registry))
