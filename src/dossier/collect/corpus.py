@@ -8,9 +8,15 @@ collector returns exactly the facts it could plausibly have found.
 
 from __future__ import annotations
 
+import binascii
+import io
 import json
+import marshal
 import operator
+import os
 import re
+import stat
+import sys
 import threading
 from dataclasses import dataclass
 from itertools import chain
@@ -66,6 +72,19 @@ _JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?
 # and "userinfo@" are skipped, and the host ends at a port, path, query or
 # fragment.
 _URL_HOST_RE = re.compile(r"(?:(?:[a-zA-Z][a-zA-Z0-9+.-]*:)?//)?(?:[^/?#@]*@)?([^/?#:]*)")
+
+# The cache of a parsed corpus (see load_corpus), kept beside its source as
+# CPython keeps a module's bytecode (PEP 3147 for the place, PEP 552 for the
+# check against the source): a header, then marshal.dumps of the corpus's
+# (_by_subject, _platform_sets).  The header is _MAGIC, marshal.version and
+# the source's byte size, then the CRC-32 of the source and of the payload,
+# each number little-endian.  _MAGIC changes whenever the payload's layout
+# does, so a cache of another layout is never read.
+_MAGIC = b"dossier\x01"
+_STAMP_SIZE = len(_MAGIC) + 4 + 8  # magic, marshal version, source size
+_HEADER_SIZE = _STAMP_SIZE + 4 + 4  # then the two CRC-32s
+# Bytes a corpus file is read in, for its CRC-32 and for the parse.
+_BLOCK = 1 << 16
 
 
 class CorpusError(DossierError):
@@ -151,6 +170,9 @@ class Corpus:
     to that subject's id itself, the very string the corpus keys the
     subject's facts by, so it costs the index no object of its own; a key
     that several subjects hold maps to the sorted tuple of their ids.
+    A corpus that :func:`load_corpus` reads from its cache is built by the
+    same constructor as a parsed one, from the state a parse built and
+    ``marshal`` kept, so the two are alike down to which values they share.
     """
 
     __slots__ = ("_by_subject", "_platform_sets", "_indexes", "_index_lock")
@@ -166,17 +188,18 @@ class Corpus:
         self._set_rows(grouped, set_index)
 
     def _set_rows(
-        self, grouped: Mapping[str, _Flat | list[_Row]], set_index: dict[frozenset, int]
+        self, grouped: Mapping[str, _Flat | list[_Row]], platform_sets: Iterable[frozenset]
     ) -> None:
         """Fill a new corpus from subject id -> its rows, as a flat tuple
-        already in order or as a list of rows in any order, and platform set
-        -> the index rows hold for it, numbered from 0 in insertion order;
-        the one constructor behind ``Corpus(facts)`` and :func:`load_corpus`."""
+        already in order or as a list of rows in any order, and the platform
+        sets in the order of the indexes rows hold for them (a dict's keys
+        will do); the one constructor behind ``Corpus(facts)`` and
+        :func:`load_corpus`, parsed or cached."""
         self._by_subject: dict[str, _Flat] = {
             subject: rows if type(rows) is tuple else _flat(rows)
             for subject, rows in sorted(grouped.items())
         }
-        self._platform_sets: Tuple[frozenset, ...] = tuple(set_index)
+        self._platform_sets: Tuple[frozenset, ...] = tuple(platform_sets)
         self._indexes: dict[tuple, dict[str, _Posting]] = {}
         self._index_lock = threading.Lock()
 
@@ -432,8 +455,83 @@ def _fact_from_line(
     return subject_id, (shared_attribute, value, confidence, platform_index)
 
 
+def _parse(stream: Iterable[str]) -> Corpus:
+    """The corpus of the fact lines *stream* yields, parsed as
+    :func:`load_corpus` describes, or the :class:`CorpusError` of its
+    first malformed line."""
+    # Subject id -> its rows: the sorted flat tuple the corpus keeps once a
+    # run of its lines has ended, or a list of rows, in any order, once a
+    # later line has reopened it.
+    grouped: dict[str, _Flat | list[_Row]] = {}
+    # The subject of the current run of lines, the list its rows go to, and
+    # whether the run is the subject's first.  A subject's lines usually
+    # come together, so most lists and their rows die as soon as their run
+    # ends and is flattened, and the garbage collector never sees them grow
+    # old.
+    subject, rows, fresh = None, [], False
+    # Platform set -> its index, and platforms list (as a tuple) -> the index
+    # of its set; see _fact_from_line.
+    set_index: dict[frozenset, int] = {}
+    platform_lists: dict[tuple, int] = {}
+    # Raw platforms text of a validated line -> the index of its set.
+    platform_texts: dict[str, int] = {}
+    confidences: dict[float, float] = {}
+    # Confidence text -> what _confidence made of it.
+    confidence_texts: dict[str, Optional[float]] = {}
+    for line_number, line in enumerate(stream, start=1):
+        match = _FAST_LINE(line)
+        row = None
+        if match is not None:
+            attribute, confidence_text, platforms_text, subject_id, value = match.groups()
+            shared_attribute = _ATTRIBUTES.get(attribute)
+            platforms = platform_texts.get(platforms_text)
+            try:
+                confidence = confidence_texts[confidence_text]
+            except KeyError:
+                confidence = confidence_texts[confidence_text] = _confidence(
+                    confidence_text, confidences
+                )
+            # The rest of _fact_from_line's checks: a non-empty
+            # subject id and an attribute in the vocabulary.
+            if (
+                subject_id
+                and shared_attribute is not None
+                and platforms is not None
+                and confidence is not None
+            ):
+                row = (shared_attribute, value, confidence, platforms)
+        elif not line.strip():
+            continue
+        if row is None:
+            # Without its newline, so a JSON error reads as for the bare line.
+            subject_id, row = _fact_from_line(
+                line_number, line.rstrip("\n"), platform_lists, set_index, confidences
+            )
+            if match is not None:
+                platform_texts[platforms_text] = row[3]
+        if subject_id != subject:
+            if fresh:
+                grouped[subject] = _flat(rows)
+            rows = grouped.get(subject_id)
+            fresh = rows is None
+            if fresh:
+                rows = []
+            elif type(rows) is tuple:
+                # Stays a list to the end, so a subject whose lines
+                # alternate with another's is not copied per run.
+                rows = grouped[subject_id] = list(_rows(rows))
+            subject = subject_id
+        rows.append(row)
+    if fresh:
+        grouped[subject] = _flat(rows)
+    corpus = Corpus.__new__(Corpus)
+    corpus._set_rows(grouped, set_index)
+    return corpus
+
+
 def load_corpus(path: str | Path) -> Corpus:
-    """Parse a line-delimited JSON corpus file in one streaming pass.
+    """Load a line-delimited JSON corpus file: from the cache of an earlier
+    parse when one matches the file, else in one streaming pass.
 
     A line ends in ``\\n`` or ``\\r\\n``; blank lines are skipped.  Each fact
     goes straight into its subject's list of rows; no :class:`CorpusFact` is
@@ -459,82 +557,141 @@ def load_corpus(path: str | Path) -> Corpus:
     which gives the same fact, or the error, that ``json.loads`` and the
     checks give.  Only that path can decode an escape, so only it checks
     for a lone surrogate.
+
+    The parsed state of a regular file is cached beside it, as CPython
+    caches a module's bytecode: in ``__pycache__/<file name>.<cache
+    tag>.corpus`` in the file's directory (``sys.implementation.cache_tag``
+    names the interpreter).  The file is opened once.  When the cache's
+    header matches the file (its format, ``marshal.version``, and the
+    file's byte size and CRC-32, computed block by block) and its payload
+    matches its own CRC-32, the corpus is ``marshal.loads`` of that payload,
+    built by the same constructor as a parse, with the same facts, the same
+    sharing and the same answers.  Any other cache (missing, unreadable,
+    truncated, foreign or stale) only sends the load to the parse, which
+    then writes the cache, atomically, for the bytes it parsed.  A write
+    that fails, say in a read-only directory, is skipped.  Nothing is
+    cached for a file that fails to load, or for one that is not a regular
+    file, such as a pipe, which is read once.  ``PYTHONDONTWRITEBYTECODE``
+    is about bytecode, and it does not turn this cache off.
     """
     path = Path(path)
-    # Subject id -> its rows: the sorted flat tuple the corpus keeps once a
-    # run of its lines has ended, or a list of rows, in any order, once a
-    # later line has reopened it.
-    grouped: dict[str, _Flat | list[_Row]] = {}
-    # The subject of the current run of lines, the list its rows go to, and
-    # whether the run is the subject's first.  A subject's lines usually
-    # come together, so most lists and their rows die as soon as their run
-    # ends and is flattened, and the garbage collector never sees them grow
-    # old.
-    subject, rows, fresh = None, [], False
-    # Platform set -> its index, and platforms list (as a tuple) -> the index
-    # of its set; see _fact_from_line.
-    set_index: dict[frozenset, int] = {}
-    platform_lists: dict[tuple, int] = {}
-    # Raw platforms text of a validated line -> the index of its set.
-    platform_texts: dict[str, int] = {}
-    confidences: dict[float, float] = {}
-    # Confidence text -> what _confidence made of it.
-    confidence_texts: dict[str, Optional[float]] = {}
     try:
-        with path.open(encoding="utf-8") as stream:
-            for line_number, line in enumerate(stream, start=1):
-                match = _FAST_LINE(line)
-                row = None
-                if match is not None:
-                    attribute, confidence_text, platforms_text, subject_id, value = match.groups()
-                    shared_attribute = _ATTRIBUTES.get(attribute)
-                    platforms = platform_texts.get(platforms_text)
-                    try:
-                        confidence = confidence_texts[confidence_text]
-                    except KeyError:
-                        confidence = confidence_texts[confidence_text] = _confidence(
-                            confidence_text, confidences
-                        )
-                    # The rest of _fact_from_line's checks: a non-empty
-                    # subject id and an attribute in the vocabulary.
-                    if (
-                        subject_id
-                        and shared_attribute is not None
-                        and platforms is not None
-                        and confidence is not None
-                    ):
-                        row = (shared_attribute, value, confidence, platforms)
-                elif not line.strip():
-                    continue
-                if row is None:
-                    # Without its newline, so a JSON error reads as for the bare line.
-                    subject_id, row = _fact_from_line(
-                        line_number, line.rstrip("\n"), platform_lists, set_index, confidences
-                    )
-                    if match is not None:
-                        platform_texts[platforms_text] = row[3]
-                if subject_id != subject:
-                    if fresh:
-                        grouped[subject] = _flat(rows)
-                    rows = grouped.get(subject_id)
-                    fresh = rows is None
-                    if fresh:
-                        rows = []
-                    elif type(rows) is tuple:
-                        # Stays a list to the end, so a subject whose lines
-                        # alternate with another's is not copied per run.
-                        rows = grouped[subject_id] = list(_rows(rows))
-                    subject = subject_id
-                rows.append(row)
-            if fresh:
-                grouped[subject] = _flat(rows)
+        with path.open("rb", buffering=0) as file:
+            source = _Checksummed(file)
+            status = os.fstat(file.fileno())
+            cache = _cache_path(path) if stat.S_ISREG(status.st_mode) else None
+            if cache is not None:
+                corpus = _read_cache(cache, source, status.st_size)
+                if corpus is not None:
+                    return corpus
+                source.rewind()
+            # What open(path, encoding="utf-8") would build, over source.
+            with io.TextIOWrapper(io.BufferedReader(source, _BLOCK), encoding="utf-8") as stream:
+                corpus = _parse(stream)
     except OSError as exc:
         raise CorpusIOError(f"cannot read corpus {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise CorpusIOError(f"cannot read corpus {path}: not UTF-8 ({exc.reason})") from exc
-    corpus = Corpus.__new__(Corpus)
-    corpus._set_rows(grouped, set_index)
+    if cache is not None:
+        _write_cache(cache, source.size, source.crc, corpus)
     return corpus
+
+
+class _Checksummed(io.RawIOBase):
+    """A corpus file read through: the byte count and CRC-32 of what was
+    read since it was opened or rewound."""
+
+    def __init__(self, file: io.FileIO) -> None:
+        self._file = file
+        self.size = self.crc = 0
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self._file.readinto(buffer)
+        if count:
+            self.crc = binascii.crc32(memoryview(buffer)[:count], self.crc)
+            self.size += count
+        return count
+
+    def rewind(self) -> None:
+        self._file.seek(0)
+        self.size = self.crc = 0
+
+
+def _cache_path(path: Path) -> Optional[Path]:
+    """Where the cache of the corpus file *path* lives; None when this
+    interpreter has no cache tag, and so keeps no bytecode either."""
+    tag = sys.implementation.cache_tag
+    return None if tag is None else path.parent / "__pycache__" / f"{path.name}.{tag}.corpus"
+
+
+def _stamp(size: int) -> bytes:
+    """The start of the header of a cache of a *size*-byte source: the
+    fields that do not depend on its content."""
+    return _MAGIC + marshal.version.to_bytes(4, "little") + size.to_bytes(8, "little")
+
+
+def _read_cache(cache: Path, source: _Checksummed, size: int) -> Optional[Corpus]:
+    """The corpus *cache* holds, when its header matches the source, a
+    regular file of *size* bytes read here through *source*, and its payload
+    matches its CRC-32; None for any other cache, and for none at all."""
+    try:
+        with cache.open("rb") as file:
+            header = file.read(_HEADER_SIZE)
+            if len(header) != _HEADER_SIZE or header[:_STAMP_SIZE] != _stamp(size):
+                return None
+            block = bytearray(_BLOCK)
+            while source.readinto(block):
+                pass
+            if source.size != size or source.crc != int.from_bytes(
+                header[_STAMP_SIZE:-4], "little"
+            ):
+                return None
+            payload = file.read()
+    except OSError:
+        return None
+    if binascii.crc32(payload) != int.from_bytes(header[-4:], "little"):
+        return None
+    try:
+        by_subject, platform_sets = marshal.loads(payload)
+    except (EOFError, ValueError, TypeError):  # no marshal data of a pair
+        return None
+    del payload  # freed before the corpus is built, which lowers the load's peak
+    corpus = Corpus.__new__(Corpus)
+    corpus._set_rows(by_subject, platform_sets)
+    return corpus
+
+
+def _write_cache(cache: Path, size: int, crc: int, corpus: Corpus) -> None:
+    """Cache *corpus*, parsed from *size* bytes of CRC-32 *crc*, at *cache*.
+
+    The header and the payload are written to a temporary file that only
+    this writer (process and thread) names, which then replaces *cache*, so
+    a reader sees an old cache or a whole new one.  A write that fails is
+    skipped and leaves no temporary file.
+    """
+    temp = cache.with_name(f"{cache.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        cache.parent.mkdir(exist_ok=True)
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError:
+        return
+    try:
+        with open(fd, "wb") as file:
+            payload = marshal.dumps((corpus._by_subject, corpus._platform_sets))
+            header = _stamp(size) + crc.to_bytes(4, "little")
+            file.write(header + binascii.crc32(payload).to_bytes(4, "little"))
+            file.write(payload)
+        os.replace(temp, cache)
+    except OSError:
+        pass
+    finally:
+        try:
+            os.unlink(temp)  # gone already once it has replaced the cache
+        except OSError:
+            pass
 
 
 def bundled_corpus_path() -> Path:

@@ -1,13 +1,19 @@
+import binascii
+import errno
 import gc
 import json
+import marshal
 import math
+import os
 import random
 import re
+import shutil
 import sys
 import threading
 import time
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given
@@ -479,6 +485,315 @@ def test_sorted_key_layout_takes_the_fast_path(tmp_path, monkeypatch):
     halves = [f.confidence for f in corpus.facts_for("s-3") if f.confidence == 0.5]
     assert len(halves) == 3
     assert len({id(half) for half in halves}) == 1
+
+
+# -- The cache of a parsed corpus -------------------------------------------
+
+
+def _cache_of(path):
+    """Where load_corpus caches the corpus file *path*."""
+    return path.parent / "__pycache__" / f"{path.name}.{sys.implementation.cache_tag}.corpus"
+
+
+def _counting_parses():
+    """A patch that counts load_corpus's parses; a load from the cache runs none."""
+    return mock.patch.object(corpus_module, "_parse", wraps=corpus_module._parse)
+
+
+# Each kind a query can be read as, social handles on each platform.
+_READINGS = [(kind, None) for kind in InputKind if kind is not InputKind.SOCIAL_HANDLE] + [
+    (InputKind.SOCIAL_HANDLE, platform) for platform in Platform
+]
+
+
+def _index_answers(corpus, texts):
+    """corpus_collect of each text, read as each kind it can be, for each
+    collector the corpus names: every index family's answers."""
+    names = sorted({p for s in corpus.subjects for f in corpus.facts_for(s) for p in f.platforms})
+    answers = []
+    for text in texts:
+        for kind, platform in _READINGS:
+            try:
+                query = classify_input(text, kind, platform)
+            except DossierError:
+                continue
+            answers.append([corpus_collect(corpus, FakeCollector(n), query) for n in names])
+    return answers
+
+
+def _assert_shared(corpus):
+    """Equal non-zero confidences are one float, and equal platform sets one
+    frozenset, across every fact of *corpus*."""
+    facts = [f for subject in corpus.subjects for f in corpus.facts_for(subject)]
+    shared = {}
+    for corpus_fact in facts:
+        shared.setdefault(("platforms", corpus_fact.platforms), set()).add(
+            id(corpus_fact.platforms)
+        )
+        if corpus_fact.confidence:
+            shared.setdefault(("confidence", corpus_fact.confidence), set()).add(
+                id(corpus_fact.confidence)
+            )
+    assert all(len(ids) == 1 for ids in shared.values())
+
+
+@given(_corpus_files(), st.lists(_VALUES, max_size=2))
+@example(_lines("-0.0", "0.0", "-0.0", "0.5", "5e-1"), [])
+@example(_lines("0.5", "0.5", value="a\\b"), ["a\\b"])
+@example(_lines("0.5", "-0"), [])
+@example(  # a subject reopened after another subject's run of lines
+    "".join(
+        json.dumps(fact(subject, "alias", value, ["webmii"]), sort_keys=True) + "\n"
+        for subject, value in [("s-1", "b"), ("s-2", "a"), ("s-1", "a")]
+    ).encode("utf-8"),
+    [],
+)
+@example(  # CRLF line ends and blank lines
+    b'\r\n{"subject_id": "s-1", "attribute": "alias", "value": "Ann Lee",'
+    b' "platforms": ["webmii"], "confidence": 0.5}\r\n\r\n',
+    ["Ann"],
+)
+def test_a_cached_load_equals_a_parsed_load(tmp_path_factory, data, texts):
+    """The first load parses and writes the cache; the second reads it and
+    parses nothing.  Each equals the line-by-line oracle in its subjects,
+    its facts (signs of zero included), its length and every index answer,
+    and shares values as a parse does.  A corpus that fails to load raises
+    the oracle's error both times and is never cached."""
+    path = tmp_path_factory.getbasetemp() / "cached-corpus.jsonl"
+    shutil.rmtree(_cache_of(path).parent, ignore_errors=True)
+    path.write_bytes(data)
+    expected = _loaded(oracle_load_corpus, path)
+    with _counting_parses() as parse:
+        if not isinstance(expected, list):
+            assert _loaded(load_corpus, path) == _loaded(load_corpus, path) == expected
+            assert parse.call_count == 2
+            assert not _cache_of(path).parent.exists()
+            return
+        parsed = load_corpus(path)
+        assert parse.call_count == 1 and _cache_of(path).is_file()
+        cached = load_corpus(path)
+        assert parse.call_count == 1
+    oracle = oracle_load_corpus(path)
+    texts = texts + [f.value for subject in oracle.subjects for f in oracle.facts_for(subject)]
+    answers = _index_answers(oracle, texts)
+    for corpus in (parsed, cached):
+        assert _loaded(lambda _: corpus, path) == expected
+        assert corpus.subjects == oracle.subjects
+        assert len(corpus) == len(oracle)
+        assert _index_answers(corpus, texts) == answers
+        _assert_shared(corpus)
+
+
+def _truncated(at):
+    def spoil(path, cache):
+        cache.write_bytes(cache.read_bytes()[: at(cache.stat().st_size)])
+
+    return spoil
+
+
+def _flipped(offset):
+    def spoil(path, cache):
+        data = bytearray(cache.read_bytes())
+        data[offset(len(data))] ^= 0x10
+        cache.write_bytes(bytes(data))
+
+    return spoil
+
+
+def _source_edited(path, cache):
+    """The same size, one character changed: only the content tells."""
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace("Aldo Reyes", "Aldo Reyez"), encoding="utf-8")
+    assert len(path.read_bytes()) == len(text.encode("utf-8"))
+
+
+def _source_grown(path, cache):
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps(fact("s-c", "alias", "Cy", ["webmii"])) + "\n")
+
+
+def _payload_of_no_corpus(path, cache):
+    """A payload that passes its own check but holds no corpus's state."""
+    payload = marshal.dumps(("not", "a", "corpus"))
+    header = cache.read_bytes()[:24] + binascii.crc32(payload).to_bytes(4, "little")
+    cache.write_bytes(header + payload)
+
+
+# Bytes 0-7 of a cache are its magic number, 8-11 marshal.version, 12-19
+# the source's size, 20-23 its CRC-32 and 24-27 the payload's CRC-32.
+_SPOILED_CACHES = {
+    "empty": _truncated(lambda size: 0),
+    "truncated in the header": _truncated(lambda size: 10),
+    "truncated after the header": _truncated(lambda size: 28),
+    "truncated in the payload": _truncated(lambda size: size // 2),
+    "one byte short": _truncated(lambda size: size - 1),
+    "one payload bit flipped": _flipped(lambda size: 28 + (size - 28) // 2),
+    "foreign magic number": _flipped(lambda size: 0),
+    "another marshal version": _flipped(lambda size: 8),
+    "a size that is not the source's": _flipped(lambda size: 12),
+    "a source CRC-32 that is not the source's": _flipped(lambda size: 20),
+    "a payload CRC-32 that is not the payload's": _flipped(lambda size: 24),
+    "a payload of no corpus": _payload_of_no_corpus,
+    "the source grown": _source_grown,
+    "a same-size edit of the source": _source_edited,
+}
+
+
+@pytest.mark.parametrize("spoil", _SPOILED_CACHES.values(), ids=_SPOILED_CACHES)
+def test_a_cache_that_does_not_match_falls_back_to_the_parse(tmp_path, spoil):
+    """Each such cache sends the load to the parse, whose corpus equals the
+    oracle's, and the parse leaves a good cache that the next load reads."""
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, small_rows())
+    load_corpus(path)
+    cache = _cache_of(path)
+    spoil(path, cache)
+    expected = _loaded(oracle_load_corpus, path)
+    with _counting_parses() as parse:
+        assert _loaded(load_corpus, path) == expected
+        assert parse.call_count == 1
+        assert _loaded(load_corpus, path) == expected
+        assert parse.call_count == 1
+    assert sorted(p.name for p in cache.parent.iterdir()) == [cache.name]
+
+
+def test_a_corpus_read_from_its_cache_is_laid_out_as_parsed(tmp_path):
+    """One flat tuple of strings and numbers per subject, which the garbage
+    collector stops tracking, and no more bytes per fact than the bound a
+    parsed corpus meets (see test_a_loaded_corpus_holds_few_bytes_per_fact)."""
+    attributes = ["full_name", "email", "phone", "alias", "location", "job_title"]
+    rows = [
+        fact(f"s{i:05d}", attribute, f"{attribute[:2]}{i}", ["c"])
+        for i in range(1000)
+        for attribute in attributes
+    ]
+    path = write_jsonl(tmp_path / "c.jsonl", rows)
+    load_corpus(path)
+    with _counting_parses() as parse:
+        tracemalloc.start()
+        try:
+            corpus = load_corpus(path)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+    assert parse.call_count == 0
+    assert len(corpus) == 6000
+    assert held / len(corpus) <= MAX_CORPUS_BYTES_PER_FACT
+    groups = list(corpus._by_subject.values())
+    assert {type(field) for group in groups for field in group} == {str, float, int}
+    gc.collect()
+    assert not any(gc.is_tracked(group) for group in groups)
+
+
+def test_a_cache_under_another_cache_tag_is_not_read(tmp_path, monkeypatch):
+    """A cache written by another interpreter has its own name, so it is
+    neither read nor touched: this interpreter parses and writes its own."""
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, small_rows())
+    monkeypatch.setattr(sys.implementation, "cache_tag", "other-99")
+    load_corpus(path)
+    foreign = _cache_of(path)
+    stamp = foreign.read_bytes()
+    monkeypatch.undo()
+    expected = _loaded(oracle_load_corpus, path)
+    with _counting_parses() as parse:
+        assert _loaded(load_corpus, path) == expected
+        assert _loaded(load_corpus, path) == expected
+        assert parse.call_count == 1
+    assert sorted(p.name for p in foreign.parent.iterdir()) == sorted(
+        [foreign.name, _cache_of(path).name]
+    )
+    assert foreign.read_bytes() == stamp
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        ("mkdir", PermissionError(errno.EACCES, "Permission denied")),
+        ("open", PermissionError(errno.EACCES, "Permission denied")),
+        ("open", OSError(errno.EROFS, "Read-only file system")),
+        ("replace", OSError(errno.EROFS, "Read-only file system")),
+    ],
+    ids=[
+        "mkdir refused",
+        "open refused",
+        "open on a read-only mount",
+        "replace on a read-only mount",
+    ],
+)
+def test_a_cache_that_cannot_be_written_is_skipped_and_leaves_no_file(
+    tmp_path, monkeypatch, call, error
+):
+    """As in a read-only directory: the load succeeds, parses every time,
+    and leaves no temporary file, whichever step of the write is refused."""
+
+    def refused(*args, **kwargs):
+        raise error
+
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, small_rows())
+    monkeypatch.setattr(corpus_module.os, call, refused)
+    with _counting_parses() as parse:
+        assert _loaded(load_corpus, path) == _loaded(oracle_load_corpus, path)
+        assert _loaded(load_corpus, path) == _loaded(oracle_load_corpus, path)
+        assert parse.call_count == 2
+    monkeypatch.undo()
+    left = [p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()]
+    assert left == ["c.jsonl"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX")
+def test_a_named_pipe_is_read_once_and_never_cached(tmp_path):
+    regular = tmp_path / "regular" / "c.jsonl"
+    regular.parent.mkdir()
+    write_jsonl(regular, small_rows())
+    pipe = tmp_path / "pipe.jsonl"
+    os.mkfifo(pipe)
+
+    def feed():  # one pass of the bytes: a second read would find none
+        with open(pipe, "wb") as stream:
+            stream.write(regular.read_bytes())
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        corpus = load_corpus(pipe)
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert _loaded(lambda _: corpus, regular) == _loaded(oracle_load_corpus, regular)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe.jsonl", "regular"]
+
+
+@pytest.mark.parametrize(
+    "text, error, line_number",
+    [
+        ('{"subject_id": "s-1"}\n', CorpusParseError, 1),
+        ("\n" + json.dumps(fact("s", "shoe_size", "4", ["c"])) + "\n", UnknownAttributeError, 2),
+        ("\xff", CorpusIOError, None),
+    ],
+    ids=["a fact with only a subject id", "an unknown attribute on line 2", "not UTF-8"],
+)
+def test_a_corpus_that_fails_to_load_keeps_its_error_and_is_never_cached(
+    tmp_path, text, error, line_number
+):
+    """Its error and line number are those of a load with no cache, even
+    when a good cache of an earlier version of the file is there."""
+    path = tmp_path / "c.jsonl"
+    bad = text.encode("latin-1") if error is CorpusIOError else text.encode("utf-8")
+    path.write_bytes(bad)
+    with pytest.raises(error) as first:
+        load_corpus(path)
+    assert getattr(first.value, "line_number", None) == line_number
+    assert not _cache_of(path).parent.exists()
+    write_jsonl(path, small_rows())
+    load_corpus(path)
+    good = _cache_of(path).read_bytes()
+    path.write_bytes(bad)
+    with pytest.raises(error) as again:
+        load_corpus(path)
+    assert str(again.value) == str(first.value)
+    assert _cache_of(path).read_bytes() == good
 
 
 def test_bundled_corpus_is_loadable_and_plausible():

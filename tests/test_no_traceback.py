@@ -16,6 +16,8 @@ a longer search.
 from __future__ import annotations
 
 import json
+import shutil
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -319,7 +321,10 @@ class Run:
 
     def __init__(self, workdir, stub_url, corpus, overlay, reply):
         for stale in workdir.iterdir():
-            stale.unlink()
+            if stale.is_dir():  # the cache of the last example's corpus
+                shutil.rmtree(stale)
+            else:
+                stale.unlink()
         self.workdir = workdir
         self.corpus = str(bundled_corpus_path())
         if corpus is not None:
@@ -346,7 +351,13 @@ class Run:
             "corpus.jsonl",
             "overlay.json",
             "report.out",
+            "__pycache__",
         }
+        # Only the cache of a corpus that loaded, and no temporary file.
+        cache = self.workdir / "__pycache__"
+        if cache.exists():
+            tag = sys.implementation.cache_tag
+            assert [p.name for p in cache.iterdir()] == [f"corpus.jsonl.{tag}.corpus"]
 
 
 @st.composite
