@@ -76,12 +76,15 @@ _URL_HOST_RE = re.compile(r"(?:(?:[a-zA-Z][a-zA-Z0-9+.-]*:)?//)?(?:[^/?#@]*@)?([
 # The cache of a parsed corpus (see load_corpus), kept beside its source as
 # CPython keeps a module's bytecode (PEP 3147 for the place, PEP 552 for the
 # check against the source): a header, then marshal.dumps of the corpus's
-# (_by_subject, _platform_sets).  The header is _MAGIC, marshal.version and
-# the source's byte size, then the CRC-32 of the source and of the payload,
-# each number little-endian.  _MAGIC changes whenever the payload's layout
-# does, so a cache of another layout is never read.
-_MAGIC = b"dossier\x01"
-_STAMP_SIZE = len(_MAGIC) + 4 + 8  # magic, marshal version, source size
+# (_by_subject, _platform_sets).  The header is _MAGIC, the CRC-32 of the
+# attribute vocabulary the parse accepts and the source's byte size, then
+# the CRC-32 of the source and of the payload, each number little-endian.
+# The cache's name carries the interpreter's cache tag, which fixes the
+# marshal format.  _MAGIC changes whenever the payload's layout or a rule
+# of the parse does (_confidence, the surrogate check, _Flat), so a cache
+# made under other rules is never read; the vocabulary stamps itself.
+_MAGIC = b"dossier\x02"
+_STAMP_SIZE = len(_MAGIC) + 4 + 8  # magic, vocabulary CRC-32, source size
 _HEADER_SIZE = _STAMP_SIZE + 4 + 4  # then the two CRC-32s
 # Bytes a corpus file is read in, for its CRC-32 and for the parse.
 _BLOCK = 1 << 16
@@ -561,15 +564,18 @@ def load_corpus(path: str | Path) -> Corpus:
     The parsed state of a regular file is cached beside it, as CPython
     caches a module's bytecode: in ``__pycache__/<file name>.<cache
     tag>.corpus`` in the file's directory (``sys.implementation.cache_tag``
-    names the interpreter).  The file is opened once.  When the cache's
-    header matches the file (its format, ``marshal.version``, and the
-    file's byte size and CRC-32, computed block by block) and its payload
-    matches its own CRC-32, the corpus is ``marshal.loads`` of that payload,
-    built by the same constructor as a parse, with the same facts, the same
-    sharing and the same answers.  Any other cache (missing, unreadable,
-    truncated, foreign or stale) only sends the load to the parse, which
-    then writes the cache, atomically, for the bytes it parsed.  A write
-    that fails, say in a read-only directory, is skipped.  Nothing is
+    names the interpreter, and with it the marshal format).  The file is
+    opened once.  When the cache's header matches the file (its format, the
+    attribute vocabulary, and the file's byte size and CRC-32, computed
+    block by block), its payload matches its own CRC-32 and has a corpus's
+    shape, and the cache grants no permission that the file does not, the
+    corpus is ``marshal.loads`` of that payload, built by the same
+    constructor as a parse, with the same facts, the same sharing and the
+    same answers.  Any other cache (missing, unreadable, truncated, foreign,
+    stale or too open) only sends the load to the parse, which then writes
+    the cache, atomically, for the bytes it parsed, with the file's read
+    and write permission bits.  A write that fails, say in a read-only
+    directory, is skipped.  Nothing is
     cached for a file that fails to load, or for one that is not a regular
     file, such as a pipe, which is read once.  ``PYTHONDONTWRITEBYTECODE``
     is about bytecode, and it does not turn this cache off.
@@ -581,7 +587,12 @@ def load_corpus(path: str | Path) -> Corpus:
             status = os.fstat(file.fileno())
             cache = _cache_path(path) if stat.S_ISREG(status.st_mode) else None
             if cache is not None:
-                corpus = _read_cache(cache, source, status.st_size)
+                # The source's read and write bits and the owner's write
+                # bit, as importlib derives a .pyc file's mode from its
+                # source: the cache shows its facts to no one the source
+                # does not.
+                mode = status.st_mode & 0o666 | 0o200
+                corpus = _read_cache(cache, source, status.st_size, mode)
                 if corpus is not None:
                     return corpus
                 source.rewind()
@@ -593,7 +604,7 @@ def load_corpus(path: str | Path) -> Corpus:
     except UnicodeDecodeError as exc:
         raise CorpusIOError(f"cannot read corpus {path}: not UTF-8 ({exc.reason})") from exc
     if cache is not None:
-        _write_cache(cache, source.size, source.crc, corpus)
+        _write_cache(cache, source.size, source.crc, corpus, mode)
     return corpus
 
 
@@ -630,18 +641,39 @@ def _cache_path(path: Path) -> Optional[Path]:
 def _stamp(size: int) -> bytes:
     """The start of the header of a cache of a *size*-byte source: the
     fields that do not depend on its content."""
-    return _MAGIC + marshal.version.to_bytes(4, "little") + size.to_bytes(8, "little")
+    vocabulary = binascii.crc32(" ".join(sorted(_ATTRIBUTES)).encode("utf-8"))
+    return _MAGIC + vocabulary.to_bytes(4, "little") + size.to_bytes(8, "little")
 
 
-def _read_cache(cache: Path, source: _Checksummed, size: int) -> Optional[Corpus]:
+def _is_corpus_state(state: object) -> bool:
+    """Whether *state*, read from a cache, has the shape of a corpus's
+    (_by_subject, _platform_sets), which _set_rows builds from as it is."""
+    if type(state) is not tuple or len(state) != 2:
+        return False
+    by_subject, platform_sets = state
+    return (
+        type(by_subject) is dict
+        and type(platform_sets) is tuple
+        and all(type(platforms) is frozenset for platforms in platform_sets)
+        and all(type(subject) is str for subject in by_subject)
+        and all(
+            type(rows) is tuple and rows and not len(rows) % 4 for rows in by_subject.values()
+        )
+    )
+
+
+def _read_cache(cache: Path, source: _Checksummed, size: int, mode: int) -> Optional[Corpus]:
     """The corpus *cache* holds, when its header matches the source, a
-    regular file of *size* bytes read here through *source*, and its payload
-    matches its CRC-32; None for any other cache, and for none at all."""
+    regular file of *size* bytes read here through *source*, its payload
+    matches its CRC-32 and has a corpus's shape, and it grants no permission
+    beyond *mode*; None for any other cache, and for none at all."""
     try:
         with cache.open("rb") as file:
             header = file.read(_HEADER_SIZE)
             if len(header) != _HEADER_SIZE or header[:_STAMP_SIZE] != _stamp(size):
                 return None
+            if os.fstat(file.fileno()).st_mode & 0o777 & ~mode:
+                return None  # the source's permissions were narrowed since
             block = bytearray(_BLOCK)
             while source.readinto(block):
                 pass
@@ -655,17 +687,20 @@ def _read_cache(cache: Path, source: _Checksummed, size: int) -> Optional[Corpus
     if binascii.crc32(payload) != int.from_bytes(header[-4:], "little"):
         return None
     try:
-        by_subject, platform_sets = marshal.loads(payload)
-    except (EOFError, ValueError, TypeError):  # no marshal data of a pair
+        state = marshal.loads(payload)
+    except (EOFError, ValueError, TypeError):  # no marshal data
         return None
     del payload  # freed before the corpus is built, which lowers the load's peak
+    if not _is_corpus_state(state):
+        return None
     corpus = Corpus.__new__(Corpus)
-    corpus._set_rows(by_subject, platform_sets)
+    corpus._set_rows(*state)
     return corpus
 
 
-def _write_cache(cache: Path, size: int, crc: int, corpus: Corpus) -> None:
-    """Cache *corpus*, parsed from *size* bytes of CRC-32 *crc*, at *cache*.
+def _write_cache(cache: Path, size: int, crc: int, corpus: Corpus, mode: int) -> None:
+    """Cache *corpus*, parsed from *size* bytes of CRC-32 *crc*, at *cache*,
+    with the permission bits *mode* (less the umask's).
 
     The header and the payload are written to a temporary file that only
     this writer (process and thread) names, which then replaces *cache*, so
@@ -675,7 +710,7 @@ def _write_cache(cache: Path, size: int, crc: int, corpus: Corpus) -> None:
     temp = cache.with_name(f"{cache.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         cache.parent.mkdir(exist_ok=True)
-        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
     except OSError:
         return
     try:

@@ -612,15 +612,21 @@ def _source_grown(path, cache):
         handle.write(json.dumps(fact("s-c", "alias", "Cy", ["webmii"])) + "\n")
 
 
-def _payload_of_no_corpus(path, cache):
-    """A payload that passes its own check but holds no corpus's state."""
-    payload = marshal.dumps(("not", "a", "corpus"))
-    header = cache.read_bytes()[:24] + binascii.crc32(payload).to_bytes(4, "little")
-    cache.write_bytes(header + payload)
+def _payload_of(state):
+    """A payload of marshal data of *state* that passes its own check, as a
+    layout changed with no new magic number would write."""
+
+    def spoil(path, cache):
+        payload = marshal.dumps(state)
+        header = cache.read_bytes()[:24] + binascii.crc32(payload).to_bytes(4, "little")
+        cache.write_bytes(header + payload)
+
+    return spoil
 
 
-# Bytes 0-7 of a cache are its magic number, 8-11 marshal.version, 12-19
-# the source's size, 20-23 its CRC-32 and 24-27 the payload's CRC-32.
+# Bytes 0-7 of a cache are its magic number, 8-11 the CRC-32 of the
+# attribute vocabulary, 12-19 the source's size, 20-23 its CRC-32 and 24-27
+# the payload's CRC-32.
 _SPOILED_CACHES = {
     "empty": _truncated(lambda size: 0),
     "truncated in the header": _truncated(lambda size: 10),
@@ -629,11 +635,17 @@ _SPOILED_CACHES = {
     "one byte short": _truncated(lambda size: size - 1),
     "one payload bit flipped": _flipped(lambda size: 28 + (size - 28) // 2),
     "foreign magic number": _flipped(lambda size: 0),
-    "another marshal version": _flipped(lambda size: 8),
+    "another attribute vocabulary": _flipped(lambda size: 8),
     "a size that is not the source's": _flipped(lambda size: 12),
     "a source CRC-32 that is not the source's": _flipped(lambda size: 20),
     "a payload CRC-32 that is not the payload's": _flipped(lambda size: 24),
-    "a payload of no corpus": _payload_of_no_corpus,
+    "a payload of no corpus": _payload_of(("not", "a", "corpus")),
+    "a payload of rows in lists": _payload_of(
+        ({"s-a": [["alias", "Al", 0.5, 0]]}, (frozenset(),))
+    ),
+    "a payload of three fields a fact": _payload_of(({"s-a": ("alias", "Al", 0.5)}, ())),
+    "a payload of subjects in a list": _payload_of(([("s-a", ("alias", "Al", 0.5, 0))], ())),
+    "a payload of platform sets in lists": _payload_of(({"s-a": ("alias", "Al", 0.5, 0)}, ([],))),
     "the source grown": _source_grown,
     "a same-size edit of the source": _source_edited,
 }
@@ -704,6 +716,60 @@ def test_a_cache_under_another_cache_tag_is_not_read(tmp_path, monkeypatch):
         [foreign.name, _cache_of(path).name]
     )
     assert foreign.read_bytes() == stamp
+
+
+def test_a_cache_made_under_another_vocabulary_is_not_read(tmp_path, monkeypatch):
+    """A corpus cached while the vocabulary had an attribute it has since
+    lost gets the error a parse gives, not the cached facts."""
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, small_rows() + [fact("s-a", "shoe_size", "44", ["webmii"])])
+    monkeypatch.setitem(corpus_module._ATTRIBUTES, "shoe_size", "shoe_size")
+    load_corpus(path)
+    assert _cache_of(path).is_file()
+    monkeypatch.undo()
+    with pytest.raises(UnknownAttributeError) as raised:
+        load_corpus(path)
+    assert raised.value.line_number == 6
+    with pytest.raises(UnknownAttributeError) as again:
+        oracle_load_corpus(path)
+    assert str(raised.value) == str(again.value)
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
+@pytest.mark.parametrize("source_mode", [0o600, 0o640, 0o644, 0o400], ids=oct)
+def test_a_cache_shows_its_facts_to_no_one_its_source_does_not(tmp_path, umask_022, source_mode):
+    """The cache takes its source's read and write bits, never more."""
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, small_rows())
+    path.chmod(source_mode)
+    load_corpus(path)
+    cache_mode = _cache_of(path).stat().st_mode & 0o777
+    assert cache_mode & 0o077 == source_mode & 0o044
+    assert cache_mode & 0o400
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
+def test_a_cache_is_rewritten_when_its_source_is_made_private(tmp_path, umask_022):
+    """A cache written while the source was readable by all is not read
+    once the source is private: the load parses and writes a private one."""
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, small_rows())
+    path.chmod(0o644)
+    load_corpus(path)
+    assert _cache_of(path).stat().st_mode & 0o077 == 0o044
+    path.chmod(0o600)
+    with _counting_parses() as parse:
+        assert _loaded(load_corpus, path) == _loaded(oracle_load_corpus, path)
+        assert _loaded(load_corpus, path) == _loaded(oracle_load_corpus, path)
+        assert parse.call_count == 1
+    assert _cache_of(path).stat().st_mode & 0o077 == 0
 
 
 @pytest.mark.parametrize(
