@@ -47,27 +47,6 @@ _RANGE_MESSAGE = "confidence must be within [0, 1]"
 # wrapper; see _fact_from_line.
 _raw_decode = json.JSONDecoder().raw_decode
 
-# The fast path's pattern (see load_corpus): one fact line as
-# json.dumps(fact, sort_keys=True) writes it with its default separators,
-# newline optional; perfbench/gen.py writes this layout.  A string holds no
-# escape and no control character, so its raw text is its value.  A
-# platforms list is captured loosely; its raw text is trusted only once a
-# whole line holding it has been validated.  A confidence is captured
-# loosely too, and _confidence checks each text against _JSON_NUMBER once.
-_STRING = r'"([^"\\\x00-\x1f]*)"'
-_FAST_LINE = re.compile(
-    r'\{"attribute": ' + _STRING
-    + r', "confidence": ([-+.0-9eE]+)'
-    + r', "platforms": (\[[^\]]*\])'
-    + r', "subject_id": ' + _STRING
-    + r', "value": ' + _STRING
-    + r"\}\n?"
-).fullmatch
-
-# The JSON scanner's number grammar, with [0-9], never \d, which also matches
-# the other Unicode digits that float() reads but JSON refuses.
-_JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?").fullmatch
-
 # The host of a URL, as written: an optional "scheme://" (in either case)
 # and "userinfo@" are skipped, and the host ends at a port, path, query or
 # fragment.
@@ -353,23 +332,14 @@ def _host_index(by_subject: Mapping[str, _Flat]) -> dict[str, str | list[str]]:
     return index
 
 
-def _confidence(number: str | int | float, confidences: dict[float, float]) -> Optional[float]:
-    """*number*, a JSON number's text or its decoded value, as a float in
-    [0, 1], shared through *confidences* unless it is a zero; None when it is
-    a text outside JSON's number grammar, is out of range, or is the text
-    ``-0``, which JSON reads as ``0`` but ``float()`` as ``-0.0``.
-
-    The one home of the confidence rules: ``_fact_from_line`` calls it on
-    every decoded confidence, and :func:`load_corpus`'s fast path on each
-    confidence text the first time it meets it.
-    """
-    if isinstance(number, str) and _JSON_NUMBER(number) is None:
-        return None
+def _confidence(number: int | float, confidences: dict[float, float]) -> Optional[float]:
+    """*number*, a decoded JSON number, as a float in [0, 1], shared through
+    *confidences* unless it is a zero; None when it is out of range."""
     try:
         confidence = float(number)
     except OverflowError:  # an integer too large for a float
         return None
-    if not 0.0 <= confidence <= 1.0 or number == "-0":
+    if not 0.0 <= confidence <= 1.0:
         return None
     if confidence:  # -0.0 == 0.0, so sharing a zero could flip its sign
         confidence = confidences.setdefault(confidence, confidence)
@@ -450,7 +420,7 @@ def _fact_from_line(
     if confidence is None:
         raise CorpusParseError(line_number, _RANGE_MESSAGE)
     # An escape such as \ud800 decodes to a lone surrogate, which no report
-    # can encode; the fast path takes no escape, so only this path checks.
+    # can encode.
     if not is_utf8_text(subject_id + value + "".join(platforms)):
         raise CorpusParseError(
             line_number, "a string is not UTF-8 text (it holds a lone surrogate)"
@@ -476,42 +446,14 @@ def _parse(stream: Iterable[str]) -> Corpus:
     # of its set; see _fact_from_line.
     set_index: dict[frozenset, int] = {}
     platform_lists: dict[tuple, int] = {}
-    # Raw platforms text of a validated line -> the index of its set.
-    platform_texts: dict[str, int] = {}
     confidences: dict[float, float] = {}
-    # Confidence text -> what _confidence made of it.
-    confidence_texts: dict[str, Optional[float]] = {}
     for line_number, line in enumerate(stream, start=1):
-        match = _FAST_LINE(line)
-        row = None
-        if match is not None:
-            attribute, confidence_text, platforms_text, subject_id, value = match.groups()
-            shared_attribute = _ATTRIBUTES.get(attribute)
-            platforms = platform_texts.get(platforms_text)
-            try:
-                confidence = confidence_texts[confidence_text]
-            except KeyError:
-                confidence = confidence_texts[confidence_text] = _confidence(
-                    confidence_text, confidences
-                )
-            # The rest of _fact_from_line's checks: a non-empty
-            # subject id and an attribute in the vocabulary.
-            if (
-                subject_id
-                and shared_attribute is not None
-                and platforms is not None
-                and confidence is not None
-            ):
-                row = (shared_attribute, value, confidence, platforms)
-        elif not line.strip():
+        if not line.strip():
             continue
-        if row is None:
-            # Without its newline, so a JSON error reads as for the bare line.
-            subject_id, row = _fact_from_line(
-                line_number, line.rstrip("\n"), platform_lists, set_index, confidences
-            )
-            if match is not None:
-                platform_texts[platforms_text] = row[3]
+        # Without its newline, so a JSON error reads as for the bare line.
+        subject_id, row = _fact_from_line(
+            line_number, line.rstrip("\n"), platform_lists, set_index, confidences
+        )
         if subject_id != subject:
             if fresh:
                 grouped[subject] = _flat(rows)
@@ -536,9 +478,10 @@ def load_corpus(path: str | Path) -> Corpus:
     """Load a line-delimited JSON corpus file: from the cache of an earlier
     parse when one matches the file, else in one streaming pass.
 
-    A line ends in ``\\n`` or ``\\r\\n``; blank lines are skipped.  Each fact
-    goes straight into its subject's list of rows; no :class:`CorpusFact` is
-    built.  A row is the tuple ``(attribute, value, confidence, platforms)``
+    A line ends in ``\\n`` or ``\\r\\n``; blank lines are skipped, and every
+    other line is decoded as JSON and checked by ``_fact_from_line``.  Each
+    fact goes straight into its subject's list of rows; no
+    :class:`CorpusFact` is built.  A row is the tuple ``(attribute, value, confidence, platforms)``
     of two strings, a float and an int: platforms is the index of the fact's
     platform set in a tuple the corpus holds once.  When a run of one
     subject's lines ends, its rows are sorted and flattened into the one
@@ -549,17 +492,6 @@ def load_corpus(path: str | Path) -> Corpus:
     platform sets are one frozenset, a subject's id is stored once, and
     facts with equal non-zero confidences hold one float, however the
     number is written.
-
-    A line as ``json.dumps(fact, sort_keys=True)`` writes it, whose strings
-    hold no escape, whose confidence is in range and is not the integer
-    ``-0``, and whose platforms text is one an earlier line already proved
-    valid, is read by one regular expression.  Each confidence text is
-    checked and converted once, by ``_confidence``, and then looked up, so
-    a text not seen before stays on this path too.  Every other line, in
-    any other key order or layout too, goes through ``_fact_from_line``,
-    which gives the same fact, or the error, that ``json.loads`` and the
-    checks give.  Only that path can decode an escape, so only it checks
-    for a lone surrogate.
 
     The parsed state of a regular file is cached beside it, as CPython
     caches a module's bytecode: in ``__pycache__/<file name>.<cache

@@ -282,11 +282,12 @@ def test_a_loaded_corpus_holds_few_bytes_per_fact(tmp_path):
 # Corpus files for the loader oracle: valid facts that repeat platform lists
 # and subject ids, with spaces or tabs around a fact, blank lines, "\n" or
 # "\r\n" line ends, and at most one malformed line (or one bad platforms
-# list on two lines).  Facts are written by json.dumps in the loader's fast
-# layout (sorted keys), in the README's key order and in a compact layout,
-# with ensure_ascii on and off; strings hold quotes, backslashes, control
-# characters, line separators and non-ASCII text.  A confidence is written
-# as json.dumps writes it or by hand: an exponent, the integer -0, "-0.0".
+# list on two lines).  Facts are written by json.dumps with sorted keys (as
+# perfbench/gen.py writes them), in the README's key order and in a compact
+# layout, with ensure_ascii on and off; strings hold quotes, backslashes,
+# control characters, line separators and non-ASCII text.  A confidence is
+# written as json.dumps writes it or by hand: an exponent, the integer -0,
+# "-0.0".
 _PLAIN = st.sampled_from("ab -.@é")
 _ANY = st.sampled_from('"\\\x00\n\x1f\x7f\x85\u2028\u2029漢😀') | st.characters(
     exclude_categories=("Cs",)
@@ -301,7 +302,7 @@ _NAMES = st.sampled_from(["maltego", "webmii", "pipl", 'we"b', "a\\b", "x]", "é
 _PLATFORMS = st.sampled_from([["webmii"], ["maltego", "pipl"]]) | st.lists(
     _NAMES, min_size=1, max_size=3
 )
-# Half the layouts are the loader's fast one (sorted keys).
+# Half the layouts sort the keys, as perfbench/gen.py does.
 _LAYOUTS = st.sampled_from(
     [{"ensure_ascii": ascii_only, "sort_keys": True} for ascii_only in (True, False)]
 ) | st.sampled_from(
@@ -313,8 +314,8 @@ _VALID_CONFIDENCES = (
     st.integers(0, 1) | st.floats(0, 1) | st.sampled_from([0.5, 0.95, -0.0, 0.0])
 ).map(json.dumps) | st.sampled_from(["1e0", "5E-1", "2.5e-1", "-0", "-0.0", "-0e3", "1.0e-400"])
 # Each a CorpusParseError: too large for a float, past int's digit limit,
-# Unicode digits (float() reads them, JSON does not), infinite, and texts
-# the fast path captures but JSON's number grammar refuses.
+# Unicode digits (float() reads them, JSON does not), infinite, and runs of
+# number characters that JSON's number grammar refuses.
 _GRAMMAR_OUTLAWS = ["01", ".5", "5.", "+0.5", "1e5e5", "1E", "-", "0.5e", "1e+", "0.5-"]
 _BAD_CONFIDENCES = st.sampled_from(
     ["1" + "0" * 400, "1" + "0" * 5000, "\u0660.5", "0.\u0665", "1e400", *_GRAMMAR_OUTLAWS]
@@ -373,7 +374,7 @@ def _malformed_lines(platforms, layouts):
 @st.composite
 def _corpus_files(draw):
     # A few platform lists and layouts per file, so that lines repeat them
-    # and reach the fast path.
+    # and reach the platform_lists memo.
     platforms = st.sampled_from(draw(st.lists(_PLATFORMS, min_size=1, max_size=3)))
     layouts = st.sampled_from(draw(st.lists(_LAYOUTS, min_size=1, max_size=2)))
     valid = _fact_lines(platforms, layouts)
@@ -402,23 +403,34 @@ def _loaded(loader, path):
 
 
 def _lines(*confidences, value="x", platforms=("webmii",)):
-    """A corpus of one fact per confidence text, otherwise alike, in the fast
-    layout."""
+    """A corpus of one fact per confidence text, otherwise alike, with sorted
+    keys."""
     line = json.dumps(fact("s-1", "alias", value, platforms, _PLACEHOLDER), sort_keys=True)
     placeholder = json.dumps(_PLACEHOLDER)
     return "\n".join(line.replace(placeholder, c) for c in confidences).encode("utf-8")
 
 
+def _retyped_platforms(platforms):
+    """Two facts whose platforms list is ["w"], the second's retyped to
+    *platforms*."""
+    rows = [fact("s", "alias", "a", ["w"]), {**fact("s", "alias", "b", []), "platforms": platforms}]
+    return "".join(json.dumps(row) + "\n" for row in rows).encode("utf-8")
+
+
 @given(_corpus_files())
 @example(_lines("-0.0", "0.0", "-0.0"))
-# Lines the fast path must leave to the JSON decoder, each after a line that
-# validates its platforms text: the integer -0 (JSON gives +0.0), a Unicode
-# digit (float() reads it, JSON does not), an escaped string; and a
-# platforms list that is no list of names, on two lines.
+# Spellings only JSON's own reading gets right, each after a line with the
+# same platforms list: the integer -0 (JSON gives +0.0), a Unicode digit
+# (float() reads it, JSON does not), an escaped string; and an empty
+# platforms list, on two lines.
 @example(_lines("0.5", "-0"))
 @example(_lines("0.5", "0.\u0665"))
 @example(_lines("0.5", "0.5", value="a\\b"))
 @example(_lines("0.5", "0.5", platforms=()))
+# An object (its keys) and a string (its characters) that a tuple turns into
+# the list seen before, which only a list may look up in the memo.
+@example(_retyped_platforms({"w": 1}))
+@example(_retyped_platforms("w"))
 def test_streaming_load_equals_the_line_by_line_oracle(tmp_path_factory, data):
     """load_corpus builds the oracle's subjects and facts, or raises the same
     error class with the same line number and message."""
@@ -429,62 +441,13 @@ def test_streaming_load_equals_the_line_by_line_oracle(tmp_path_factory, data):
 
 @pytest.mark.parametrize("text", _GRAMMAR_OUTLAWS)
 def test_a_confidence_outside_the_json_grammar_is_a_parse_error(tmp_path, text):
-    """The fast path captures any run of number characters; a text that
-    float() may read but JSON refuses still fails as json.loads fails."""
+    """A confidence text that float() may read but JSON refuses fails as
+    json.loads fails."""
     path = tmp_path / "c.jsonl"
     path.write_bytes(_lines("0.5", text))
     with pytest.raises(CorpusParseError, match="^line 2: not valid JSON"):
         load_corpus(path)
     assert _loaded(load_corpus, path) == _loaded(oracle_load_corpus, path)
-
-
-def test_sorted_key_layout_takes_the_fast_path(tmp_path, monkeypatch):
-    """Only the first line with a platforms list and the lines whose
-    confidence is the integer -0 (JSON reads it as 0) are parsed as JSON;
-    the rest are read by the fast path, to the same facts, signs included.
-    Equal non-zero confidences share one float however they are written."""
-    platforms = ["webmii", "maltego"]
-    facts = [
-        ("s-1", "full_name", "Zoë Ek", "0.9"),
-        ("s-1", "email", "zoe@ek.example", "1"),
-        ("s-2", "alias", "", "0"),
-        ("s-2", "job_title", "clerk", "-0.0"),
-        ("s-2", "location", "Åre\u2028Sweden", "1e-05"),
-        ("s-3", "alias", "a", "0.5"),
-        ("s-3", "alias", "b", "5e-1"),
-        ("s-3", "alias", "c", "0.50"),
-        ("s-3", "job_title", "d", "-0.0"),
-        ("s-3", "job_title", "e", "-0"),
-        ("s-4", "job_title", "f", "-0"),
-    ]
-    placeholder = json.dumps(_PLACEHOLDER)
-    path = tmp_path / "c.jsonl"
-    path.write_text(
-        "".join(
-            json.dumps(
-                fact(subject, attribute, value, platforms, _PLACEHOLDER),
-                sort_keys=True,
-                ensure_ascii=False,
-            ).replace(placeholder, confidence)
-            + "\n"
-            for subject, attribute, value, confidence in facts
-        ),
-        encoding="utf-8",
-    )
-    slow_lines = []
-    parse = corpus_module._fact_from_line
-
-    def recorded(line_number, *args):
-        slow_lines.append(line_number)
-        return parse(line_number, *args)
-
-    monkeypatch.setattr(corpus_module, "_fact_from_line", recorded)
-    corpus = load_corpus(path)
-    assert slow_lines == [1, 10, 11]
-    assert _loaded(lambda _: corpus, path) == _loaded(oracle_load_corpus, path)
-    halves = [f.confidence for f in corpus.facts_for("s-3") if f.confidence == 0.5]
-    assert len(halves) == 3
-    assert len({id(half) for half in halves}) == 1
 
 
 # -- The cache of a parsed corpus -------------------------------------------
@@ -538,7 +501,7 @@ def _assert_shared(corpus):
 
 
 @given(_corpus_files(), st.lists(_VALUES, max_size=2))
-@example(_lines("-0.0", "0.0", "-0.0", "0.5", "5e-1"), [])
+@example(_lines("-0.0", "0.0", "-0.0", "0.5", "5e-1", "0.50"), [])
 @example(_lines("0.5", "0.5", value="a\\b"), ["a\\b"])
 @example(_lines("0.5", "-0"), [])
 @example(  # a subject reopened after another subject's run of lines
@@ -1403,9 +1366,9 @@ _one_query_of_each_kind = st.tuples(
 
 @given(_facts, _one_query_of_each_kind)
 def test_a_corpus_of_facts_equals_the_loaded_corpus(tmp_path_factory, facts, raw_queries):
-    """Corpus(facts) and load_corpus of the same facts, written in the fast
-    layout, hold the same subjects and CorpusFacts, signs included, and
-    answer a query of every kind alike."""
+    """Corpus(facts) and load_corpus of the same facts, written with sorted
+    keys, hold the same subjects and CorpusFacts, signs included, and answer
+    a query of every kind alike."""
     path = tmp_path_factory.getbasetemp() / "constructors.jsonl"
     path.write_text(
         "".join(
