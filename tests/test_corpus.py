@@ -632,6 +632,24 @@ def test_a_cache_that_does_not_match_falls_back_to_the_parse(tmp_path, spoil):
     assert sorted(p.name for p in cache.parent.iterdir()) == [cache.name]
 
 
+def test_a_load_from_the_cache_leaves_the_cache_as_it_was(tmp_path):
+    """A hit neither parses nor rewrites: the cache keeps its inode, which
+    the os.replace of a rewrite would change, its bytes and its mtime."""
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, small_rows())
+    load_corpus(path)
+    cache = _cache_of(path)
+    before = cache.stat()
+    stamp = cache.read_bytes()
+    with _counting_parses() as parse:
+        assert _loaded(load_corpus, path) == _loaded(oracle_load_corpus, path)
+        assert parse.call_count == 0
+    after = cache.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert cache.read_bytes() == stamp
+    assert sorted(p.name for p in cache.parent.iterdir()) == [cache.name]
+
+
 def test_a_corpus_read_from_its_cache_is_laid_out_as_parsed(tmp_path):
     """One flat tuple of strings and numbers per subject, which the garbage
     collector stops tracking, and no more bytes per fact than the bound a
